@@ -18,41 +18,42 @@
 //    slower replicas can finish) and exits 0; exits 1 if --deadline-ms
 //    passes without a decision.
 //
-//  - SMR (--smr): a pipelined, batched replicated log (src/smr) serving
-//    real clients. --client-port opens the client listener (the wire
-//    format is net/client.hpp over net/frame.hpp); replies are sent after
-//    in-order execution, and duplicate (client, seq) retries are answered
-//    from the last-reply cache without re-executing. The process runs
-//    until --run-ms elapses — or exits early once --expect-cmds commands
-//    executed (plus --linger-ms for stragglers) — and prints
-//      SMRLOG id=<id> slots=<s> base=<b> cmds=<c> digest=<hex>
-//    (digest = the truncation-invariant chained log digest) so a harness
-//    can assert identical logs across the cluster.
+//  - SMR (--smr): S consensus groups (src/shard, --shards S, default 1),
+//    each a pipelined, batched replicated log (src/smr), serving real
+//    clients over the same sockets. S = 1 is the plain log: no shard
+//    envelope on the wire, the WAL directly in --wal-dir, and log lines
+//    without a shard field. --client-port opens the client listener (the
+//    wire format is net/client.hpp over net/frame.hpp); requests route to
+//    the group owning their payload key, replies are sent after in-order
+//    execution, and duplicate (client, seq) retries are answered from the
+//    last-reply cache without re-executing. A "DTX1"-prefixed request
+//    runs the cross-shard 2PC coordinator (a one-participant transaction
+//    at S = 1) and is answered with dtx-committed / dtx-aborted. The
+//    process runs until --run-ms elapses — or exits early once
+//    --expect-cmds entries executed across all groups (plus --linger-ms
+//    for stragglers; dtx bookkeeping entries count too: a D-participant
+//    tx commits exactly 2 + 2D entries) — and prints one line per group
+//      SMRLOG id=<id> [shard=<s>] slots=<s> base=<b> cmds=<c> digest=<hex>
+//    (digest = the truncation-invariant chained log digest; the shard
+//    field appears only when S > 1) so a harness can assert identical
+//    logs across the cluster, then
+//      DTX id=<id> committed=<c> aborted=<a> in_flight=<i>
 //
 //    --wal-dir DIR makes the log durable: decisions and stable
-//    checkpoints are written to an fsync'd write-ahead log under DIR, and
-//    a restarted process recovers its executed prefix from it before
-//    rejoining (printing "RECOVERED id=<id> base=<b> slots=<s>" when it
-//    found state). kill -9 + restart must converge to the same digest as
-//    the peers — scripts/run_tcp_cluster.sh's restart mode asserts it.
-//
-//  - Sharded SMR (--shards S, implies --smr): the process serves S
-//    independent consensus groups (src/shard) over the same sockets.
-//    Client requests route to the group owning their payload hash; a
-//    "DTX1"-prefixed request runs the cross-shard 2PC coordinator and is
-//    answered with dtx-committed / dtx-aborted. --wal-dir splits into
-//    per-group directories (DIR/shard-<s>), SMRLOG/RECOVERED lines gain
-//    a shard=<s> field (one line per group), and a final
-//      DTX id=<id> committed=<c> aborted=<a> in_flight=<i>
-//    line reports transaction outcomes. --expect-cmds counts total
-//    executed entries across all groups, dtx bookkeeping entries
-//    included (a D-participant tx commits exactly 2 + 2D entries).
+//    checkpoints are written to an fsync'd write-ahead log per group
+//    (DIR itself at S = 1, DIR/shard-<s> otherwise), and a restarted
+//    process recovers its executed prefix from it before rejoining
+//    (printing "RECOVERED id=<id> [shard=<s>] base=<b> slots=<s>" for
+//    each group that found state). kill -9 + restart must converge to the
+//    same digests as the peers — scripts/run_tcp_cluster.sh's restart and
+//    shard modes assert it.
 //
 // SIGTERM/SIGINT stop the event loop gracefully in both modes: the WAL
 // is flushed and the final SMRLOG/--stats lines are still printed.
 // --stats prints per-tag TransportStats on shutdown in both modes.
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
-// client mode (`client` protocol argument), crash-restart (`restart`).
+// client and read paths (`client`, `reads`), crash-restart (`restart`)
+// and sharding (`shard`).
 #include <cctype>
 #include <csignal>
 #include <cstdio>
@@ -74,7 +75,6 @@
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
 #include "smr/executor.hpp"
-#include "smr/preverify.hpp"
 #include "store/wal.hpp"
 
 namespace {
@@ -104,11 +104,9 @@ struct Options {
   std::string wal_dir;                      // empty = no durability
   std::uint64_t checkpoint_interval = 16;   // slots; 0 disables
   bool fsync = true;                        // fsync WAL writes
-  /// Consensus groups (src/shard). 1 = the plain single-group log; > 1
-  /// runs a shard::ShardedSmr fleet — S groups multiplexed over this
-  /// process's one transport, requests routed by payload hash, per-shard
-  /// WAL namespaces under --wal-dir/shard-<s>, and a cross-shard 2PC
-  /// coordinator serving "DTX1" client requests.
+  /// Consensus groups of the shard::ShardedSmr service (src/shard),
+  /// multiplexed over this process's one transport with requests routed
+  /// by payload key. 1 = the plain single-group log.
   std::uint32_t shards = 1;
   // ---- multi-core replica (docs/ARCHITECTURE.md "Threading model") ----
   /// Signature-verification worker threads feeding a shared verdict
@@ -292,6 +290,49 @@ core::PreverifyContext make_preverify_context(const sim::NodeParams& params) {
   return ctx;
 }
 
+/// Registers `node` as this replica's inbound handler. With
+/// --verify-threads the expensive half of admission (decode +
+/// signature/VRF checks) runs on pool workers that warm `params.verdicts`;
+/// the drain callback re-injects messages on the loop thread in
+/// submission order, so the node sees the exact sequence it would have
+/// seen inline — just with its verdict cache already warm. The returned
+/// pool (null without workers) must be destroyed before `node`, so its
+/// workers join first. An empty `extract` is the core-protocol extractor.
+std::unique_ptr<core::VerifyPool> attach_inbound(
+    const Options& opt, net::TcpTransport& transport,
+    const sim::NodeParams& params, core::INode& node,
+    core::PreverifyFn extract = {}) {
+  if (opt.verify_threads == 0) {
+    transport.register_handler(
+        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+          node.on_message(from, tag, m);
+        });
+    return nullptr;
+  }
+  auto pool = std::make_unique<core::VerifyPool>(
+      make_preverify_context(params), params.verdicts, opt.verify_threads,
+      std::move(extract));
+  core::VerifyPool* p = pool.get();
+  p->set_ready_callback([&transport, p, &node] {
+    transport.post([p, &node] {
+      p->drain([&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node.on_message(from, tag, m);
+      });
+    });
+  });
+  transport.register_handler(
+      opt.id, [p](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        p->submit(from, tag, m);
+      });
+  return pool;
+}
+
+/// --smr: one process serves S consensus groups (shard::ShardedSmr; the
+/// default S = 1 is the plain replicated log, byte-identical on the wire)
+/// over one transport, with client reply routing, per-group WAL
+/// durability and the dtx coordinator for cross-shard "DTX1"
+/// transactions. Prints one SMRLOG line per group so harnesses assert
+/// per-group digest agreement; at S = 1 the lines carry no shard field.
 int run_smr_node(const Options& opt, net::TcpTransport& transport,
                  sim::NodeParams params) {
   params.smr.window = opt.window;
@@ -299,27 +340,30 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
   params.smr.checkpoint_interval = opt.checkpoint_interval;
   params.smr.serve_reads = opt.reads;
 
-  // Multi-core front end (--verify-threads): workers pre-warm a shared
-  // thread-safe verdict cache that every per-slot instance then consumes.
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-    params.verdicts = verdicts;
-  }
+  // Log lines name the group only when there is more than one.
+  const auto shard_field = [&opt](shard::ShardId s) {
+    return opt.shards > 1 ? " shard=" + std::to_string(s) : std::string();
+  };
 
-  // Durability: the replica recovers from the WAL at construction and
-  // appends decisions / stable checkpoints to it while running.
-  std::unique_ptr<store::Wal> wal;
+  // Durability: one WAL per group, each with a private segment namespace;
+  // the replica recovers from it at construction and appends decisions /
+  // stable checkpoints while running.
+  std::vector<std::unique_ptr<store::Wal>> wals;
+  std::vector<store::Wal*> wal_ptrs;
   if (!opt.wal_dir.empty()) {
-    try {
-      wal = std::make_unique<store::Wal>(
-          store::WalOptions{opt.wal_dir, opt.fsync});
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot open WAL at %s: %s\n",
-                   opt.wal_dir.c_str(), e.what());
-      return 1;
+    for (shard::ShardId s = 0; s < opt.shards; ++s) {
+      const std::string dir =
+          shard::group_wal_dir(opt.wal_dir, s, opt.shards);
+      try {
+        wals.push_back(std::make_unique<store::Wal>(
+            store::WalOptions{dir, opt.fsync}));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cannot open WAL at %s: %s\n", dir.c_str(),
+                     e.what());
+        return 1;
+      }
+      wal_ptrs.push_back(wals.back().get());
     }
-    params.wal = wal.get();
   }
 
   // Reply-serialization offload (--exec-offload): the encode runs on the
@@ -328,224 +372,12 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
   std::unique_ptr<smr::AsyncExecutor> executor;
   if (opt.exec_offload) executor = std::make_unique<smr::AsyncExecutor>();
 
-  std::unique_ptr<smr::SmrReplica> node;
+  std::unique_ptr<shard::ShardedSmr> node;
+  std::unique_ptr<shard::DtxCoordinator> dtx;
 
   // Reply routing: (client, seq) → the connection awaiting the reply,
   // plus a per-client last-reply cache so an already-executed retry is
   // re-answered without re-execution. Both maps are loop-thread-only.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
-  std::map<std::uint64_t, net::ClientReply> last_reply;
-
-  smr::AsyncExecutor* exec = executor.get();
-  params.on_execute = [&transport, &waiting, &last_reply,
-                       exec](const smr::ExecutedCommand& cmd) {
-    net::ClientReply reply;
-    reply.client_id = cmd.client;
-    reply.seq = cmd.seq;
-    reply.slot = cmd.slot;
-    reply.result = cmd.payload;
-    const auto it = waiting.find({cmd.client, cmd.seq});
-    if (it != waiting.end()) {
-      const std::uint64_t conn = it->second;
-      waiting.erase(it);
-      if (exec != nullptr) {
-        exec->run_or_submit([&transport, conn, reply] {
-          Bytes frame = reply.encode();
-          transport.post([&transport, conn, frame = std::move(frame)] {
-            transport.send_to_client(conn, net::kClientReplyTag, frame);
-          });
-        });
-      } else {
-        transport.send_to_client(conn, net::kClientReplyTag, reply.encode());
-      }
-    }
-    last_reply[cmd.client] = std::move(reply);
-  };
-
-  node = sim::make_smr_node(params, sim::transport_host(
-                                        transport, opt.id,
-                                        transport.timer_setter()));
-
-  // Inbound admission: with --verify-threads the expensive half of
-  // admission (decode + signature/VRF checks) runs on pool workers; the
-  // drain callback re-injects messages on the loop thread in submission
-  // order, so the replica sees the exact sequence it would have seen
-  // inline — just with its verdict cache already warm.
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(
-        make_preverify_context(params), verdicts, opt.verify_threads,
-        smr::preverify_tasks);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
-      });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
-  transport.set_client_handler([&transport, &node, &waiting, &last_reply](
-                                   std::uint64_t conn, std::uint8_t tag,
-                                   const Bytes& payload) {
-    if (tag == net::kClientReadTag) {
-      // Read path: the engine answers through its own state machine
-      // (lease / read-index / parked min_index waits) and calls back on
-      // the loop thread; with --reads off every mode answers kRejected,
-      // which the reply carries back instead of leaving the client to
-      // infer from a timeout.
-      try {
-        const auto read =
-            net::ReadRequest::decode(ByteSpan(payload.data(), payload.size()));
-        node->submit_read(
-            read.key, read.consistency, read.min_index,
-            [&transport, conn, client_id = read.client_id,
-             read_id = read.read_id](const smr::SmrReplica::ReadResult& r) {
-              net::ReadReply reply;
-              reply.client_id = client_id;
-              reply.read_id = read_id;
-              reply.status = r.status;
-              reply.slot = r.slot;
-              reply.index = r.index;
-              reply.value = r.value;
-              transport.send_to_client(conn, net::kClientReadReplyTag,
-                                       reply.encode());
-            });
-      } catch (const CodecError&) {
-        // Malformed read: drop.
-      }
-      return;
-    }
-    if (tag != net::kClientRequestTag) return;
-    try {
-      const auto request =
-          net::ClientRequest::decode(ByteSpan(payload.data(), payload.size()));
-      if (request.seq <= node->last_executed_seq(request.client_id)) {
-        // Already executed: answer the retry from the cache (only the
-        // client's latest request is cached, PBFT-style).
-        const auto cached = last_reply.find(request.client_id);
-        if (cached != last_reply.end() &&
-            cached->second.seq == request.seq) {
-          transport.send_to_client(conn, net::kClientReplyTag,
-                                   cached->second.encode());
-        }
-        return;
-      }
-      // Enqueue, then route the reply. A false return is either a retry
-      // of still-pending work (keep/redirect the route to the fresh
-      // connection) or an outright rejection (oversized payload, intake
-      // backpressure) — the latter answers an explicit kRejected so the
-      // client backs off instead of waiting out its timeout, and must
-      // not leave a route behind (the request will never execute, so a
-      // waiting entry would leak).
-      const bool accepted = node->submit_request(
-          request.client_id, request.seq, request.payload);
-      if (accepted || node->has_pending(request.client_id, request.seq)) {
-        waiting[{request.client_id, request.seq}] = conn;
-      } else {
-        net::ClientReply reject;
-        reject.client_id = request.client_id;
-        reject.seq = request.seq;
-        reject.status = net::ReplyStatus::kRejected;
-        transport.send_to_client(conn, net::kClientReplyTag,
-                                 reject.encode());
-      }
-    } catch (const CodecError&) {
-      // Malformed client request: drop (the framing layer already
-      // poisons truly corrupt streams).
-    }
-  });
-
-  if (node->recovered_slots() > 0) {
-    std::printf("RECOVERED id=%u base=%llu slots=%llu\n", opt.id,
-                static_cast<unsigned long long>(node->log_base()),
-                static_cast<unsigned long long>(node->recovered_slots()));
-    std::fflush(stdout);
-  }
-
-  node->start();
-  const std::uint64_t expect = opt.expect_cmds;
-  const auto caught_up = [&node, expect] {
-    return expect > 0 && node->executed_commands() >= expect;
-  };
-  const std::function<bool()> done =
-      expect > 0 ? std::function<bool()>(caught_up) : nullptr;
-  const bool reached = transport.run_until(done, opt.run_ms * 1000);
-  // Keep serving peers/clients so slower replicas reach the same log.
-  // (A stop signal makes both loops return immediately: stop() is sticky.)
-  transport.run_until(nullptr, opt.linger_ms * 1000);
-
-  if (wal) wal->sync();  // flush any buffered tail before reporting
-  std::printf("SMRLOG id=%u slots=%llu base=%llu cmds=%llu digest=%s\n",
-              opt.id,
-              static_cast<unsigned long long>(node->committed_slots()),
-              static_cast<unsigned long long>(node->log_base()),
-              static_cast<unsigned long long>(node->executed_commands()),
-              node->log_digest().c_str());
-  std::fflush(stdout);
-  if (opt.stats) print_stats(transport.stats());
-  if (g_signaled) return 0;  // clean stop on request, not a failure
-  if (expect > 0 && !reached) {
-    std::fprintf(stderr, "executed %llu/%llu commands within %llu ms\n",
-                 static_cast<unsigned long long>(node->executed_commands()),
-                 static_cast<unsigned long long>(expect),
-                 static_cast<unsigned long long>(opt.run_ms));
-    return 1;
-  }
-  return 0;
-}
-
-/// --shards S: one process serves S consensus groups (shard::ShardedSmr)
-/// over the same transport. Mirrors run_smr_node's wiring — verdict
-/// cache, verify pool (shard::preverify_tasks, so signature batches span
-/// all groups), WAL durability, client reply routing — plus the dtx
-/// coordinator for cross-shard "DTX1" transactions. Prints one SMRLOG
-/// line per shard so harnesses assert per-shard digest agreement.
-int run_sharded_node(const Options& opt, net::TcpTransport& transport,
-                     sim::NodeParams params) {
-  params.smr.window = opt.window;
-  params.smr.batch_max_commands = opt.batch;
-  params.smr.checkpoint_interval = opt.checkpoint_interval;
-  params.smr.serve_reads = opt.reads;
-
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-  }
-
-  // Durability: one WAL per group under its own directory, so each
-  // group's decide/checkpoint stream has a private segment namespace.
-  std::vector<std::unique_ptr<store::Wal>> wals;
-  std::vector<store::Wal*> wal_ptrs;
-  if (!opt.wal_dir.empty()) {
-    for (shard::ShardId s = 0; s < opt.shards; ++s) {
-      try {
-        wals.push_back(std::make_unique<store::Wal>(store::WalOptions{
-            opt.wal_dir + "/shard-" + std::to_string(s), opt.fsync}));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "cannot open WAL for shard %u under %s: %s\n",
-                     s, opt.wal_dir.c_str(), e.what());
-        return 1;
-      }
-      wal_ptrs.push_back(wals.back().get());
-    }
-  }
-
-  std::unique_ptr<smr::AsyncExecutor> executor;
-  if (opt.exec_offload) executor = std::make_unique<smr::AsyncExecutor>();
-
-  std::unique_ptr<shard::ShardedSmr> node;
-  std::unique_ptr<shard::DtxCoordinator> dtx;
-
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
@@ -571,31 +403,16 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
   };
 
   shard::ShardedSmrConfig sc;
-  sc.base.id = params.id;
-  sc.base.n = params.n;
-  sc.base.f = params.f;
-  sc.base.o = params.o;
-  sc.base.l = params.l;
-  sc.base.pipeline = params.smr;
-  sc.base.fast_verify = params.fast_verify;
-  sc.base.suite = params.suite;
-  sc.base.secret_key = params.secret_key;
-  sc.base.public_keys = params.public_keys;
-  sc.base.verdicts = verdicts;
-  sc.base.sync = params.sync;
+  sc.base = sim::smr_config(params);
   sc.map.version = 1;
   sc.map.shard_count = opt.shards;
   sc.wals = wal_ptrs;
   sc.on_execute = [&dtx, &route_reply](shard::ShardId s,
                                        const smr::ExecutedCommand& cmd) {
-    if (dtx) dtx->on_execute(s, cmd);
-    // Dtx-internal entries (DXB1/DXP1/DXD1/DXA1 under synthetic per-tx
+    // Dtx entries (BEGIN/PREPARE/DECIDE/APPLY under synthetic per-tx
     // clients) are protocol bookkeeping, not client commands — the
     // client's reply comes from the coordinator's on_complete instead.
-    if (cmd.payload.size() >= 4 && cmd.payload[0] == 'D' &&
-        cmd.payload[1] == 'X') {
-      return;
-    }
+    if (dtx && dtx->on_execute(s, cmd)) return;
     net::ClientReply reply;
     reply.client_id = cmd.client;
     reply.seq = cmd.seq;
@@ -609,7 +426,7 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
         std::move(sc), sim::transport_host(transport, opt.id,
                                            transport.timer_setter()));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot start sharded service: %s\n", e.what());
+    std::fprintf(stderr, "cannot start SMR service: %s\n", e.what());
     return 1;
   }
   dtx = std::make_unique<shard::DtxCoordinator>(*node,
@@ -625,36 +442,18 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
     route_reply(reply);
   });
 
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(
-        make_preverify_context(params), verdicts, opt.verify_threads,
-        shard::preverify_tasks);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
-      });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
+  const auto pool =
+      attach_inbound(opt, transport, params, *node, shard::preverify_tasks);
   transport.set_client_handler([&transport, &node, &dtx, &waiting,
                                 &last_reply](std::uint64_t conn,
                                              std::uint8_t tag,
                                              const Bytes& payload) {
     if (tag == net::kClientReadTag) {
-      // Reads route to the group owning the key — writes place by
-      // read_view_key(payload), so key and writes meet the same group.
+      // Read path: the owning group answers through its own state
+      // machine (lease / read-index / parked min_index waits) and calls
+      // back on the loop thread; with --reads off it answers kRejected,
+      // which the reply carries back instead of leaving the client to
+      // infer from a timeout.
       try {
         const auto read =
             net::ReadRequest::decode(ByteSpan(payload.data(), payload.size()));
@@ -703,10 +502,11 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
       }
       // Ordinary request: dedup against the OWNING group's tables (each
       // group has its own per-client last-executed map).
-      const shard::ShardId s = node->placement().shard_of(
-          ByteSpan(request.payload.data(), request.payload.size()));
-      const smr::SmrReplica& group = node->group(s);
+      const smr::SmrReplica& group =
+          node->group(node->owner_of(request.payload));
       if (request.seq <= group.last_executed_seq(request.client_id)) {
+        // Already executed: answer the retry from the cache (only the
+        // client's latest request is cached, PBFT-style).
         const auto cached = last_reply.find(request.client_id);
         if (cached != last_reply.end() &&
             cached->second.seq == request.seq) {
@@ -715,6 +515,13 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
         }
         return;
       }
+      // Enqueue, then route the reply. A false return is either a retry
+      // of still-pending work (keep/redirect the route to the fresh
+      // connection) or an outright rejection (oversized payload, intake
+      // backpressure) — the latter answers an explicit kRejected so the
+      // client backs off instead of waiting out its timeout, and must
+      // not leave a route behind (the request will never execute, so a
+      // waiting entry would leak).
       const bool accepted = node->submit_request(
           request.client_id, request.seq, request.payload);
       if (accepted || group.has_pending(request.client_id, request.seq)) {
@@ -728,18 +535,20 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
                                  reject.encode());
       }
     } catch (const CodecError&) {
-      // Malformed client request: drop.
+      // Malformed client request: drop (the framing layer already
+      // poisons truly corrupt streams).
     }
   });
 
   bool recovered = false;
   for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
-    if (node->group(s).recovered_slots() == 0) continue;
+    const smr::SmrReplica& group = node->group(s);
+    if (group.recovered_slots() == 0) continue;
     recovered = true;
-    std::printf("RECOVERED id=%u shard=%u base=%llu slots=%llu\n", opt.id, s,
-                static_cast<unsigned long long>(node->group(s).log_base()),
-                static_cast<unsigned long long>(
-                    node->group(s).recovered_slots()));
+    std::printf("RECOVERED id=%u%s base=%llu slots=%llu\n", opt.id,
+                shard_field(s).c_str(),
+                static_cast<unsigned long long>(group.log_base()),
+                static_cast<unsigned long long>(group.recovered_slots()));
   }
   std::fflush(stdout);
 
@@ -760,14 +569,15 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
   const std::function<bool()> done =
       expect > 0 ? std::function<bool()>(caught_up) : nullptr;
   const bool reached = transport.run_until(done, opt.run_ms * 1000);
+  // Keep serving peers/clients so slower replicas reach the same log.
+  // (A stop signal makes both loops return immediately: stop() is sticky.)
   transport.run_until(nullptr, opt.linger_ms * 1000);
 
-  for (const auto& wal : wals) wal->sync();
+  for (const auto& wal : wals) wal->sync();  // flush before reporting
   for (shard::ShardId s = 0; s < node->shard_count(); ++s) {
     const smr::SmrReplica& group = node->group(s);
-    std::printf("SMRLOG id=%u shard=%u slots=%llu base=%llu cmds=%llu "
-                "digest=%s\n",
-                opt.id, s,
+    std::printf("SMRLOG id=%u%s slots=%llu base=%llu cmds=%llu digest=%s\n",
+                opt.id, shard_field(s).c_str(),
                 static_cast<unsigned long long>(group.committed_slots()),
                 static_cast<unsigned long long>(group.log_base()),
                 static_cast<unsigned long long>(group.executed_commands()),
@@ -779,7 +589,7 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
               static_cast<unsigned long long>(dtx->in_flight()));
   std::fflush(stdout);
   if (opt.stats) print_stats(transport.stats());
-  if (g_signaled) return 0;
+  if (g_signaled) return 0;  // clean stop on request, not a failure
   if (expect > 0 && !reached) {
     std::fprintf(stderr, "executed %llu/%llu entries within %llu ms\n",
                  static_cast<unsigned long long>(node->executed_commands()),
@@ -791,7 +601,7 @@ int run_sharded_node(const Options& opt, net::TcpTransport& transport,
 }
 
 int run_single_shot(const Options& opt, net::TcpTransport& transport,
-                    sim::NodeParams params) {
+                    const sim::NodeParams& params) {
   bool decided = false;
   core::ProtocolHost host = sim::transport_host(transport, opt.id,
                                                 transport.timer_setter());
@@ -807,36 +617,8 @@ int run_single_shot(const Options& opt, net::TcpTransport& transport,
   // --verify-threads works here too, with the core-protocol extractor
   // (no SMR slot envelope). PBFT/HotStuff tags extract zero tasks, so the
   // pool degenerates to an ordered passthrough for those protocols.
-  std::shared_ptr<core::VerdictCache> verdicts;
-  if (opt.verify_threads > 0) {
-    verdicts = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-    params.verdicts = verdicts;
-  }
-
   const auto node = sim::make_honest_node(params, std::move(host));
-
-  std::unique_ptr<core::VerifyPool> pool;
-  if (opt.verify_threads > 0) {
-    pool = std::make_unique<core::VerifyPool>(make_preverify_context(params),
-                                              verdicts, opt.verify_threads);
-    pool->set_ready_callback([&transport, &pool, &node] {
-      transport.post([&pool, &node] {
-        pool->drain(
-            [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              node->on_message(from, tag, m);
-            });
-      });
-    });
-    transport.register_handler(
-        opt.id, [&pool](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          pool->submit(from, tag, m);
-        });
-  } else {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node->on_message(from, tag, m);
-        });
-  }
+  const auto pool = attach_inbound(opt, transport, params, *node);
 
   node->start();
   transport.run_until([&decided]() { return decided; },
@@ -926,9 +708,13 @@ int main(int argc, char** argv) {
   // timer is generous compared to the simulator's 100 ms default.
   params.sync.base_timeout = 1'000'000;  // 1 s
 
-  if (opt.smr && opt.shards > 1) {
-    return run_sharded_node(opt, *transport, std::move(params));
+  // --verify-threads: pool workers pre-warm a shared thread-safe verdict
+  // cache that every consensus instance then consumes.
+  if (opt.verify_threads > 0) {
+    params.verdicts = std::make_shared<core::VerdictCache>(
+        /*thread_safe=*/true);
   }
+
   return opt.smr ? run_smr_node(opt, *transport, std::move(params))
-                 : run_single_shot(opt, *transport, std::move(params));
+                 : run_single_shot(opt, *transport, params);
 }

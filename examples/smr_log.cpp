@@ -1,8 +1,7 @@
-// Replicated log using the SMR module (src/smr) — in contrast to kv_smr,
-// which spins up a fresh cluster per slot, this example runs a single
-// long-lived fleet of SmrReplicas over one network: a window of slots
-// runs concurrently, commands ride in batches, and slots only open when
-// there is demand (no no-op filler).
+// Replicated log using the SMR module (src/smr): a single long-lived
+// fleet of SmrReplicas over one network — a window of slots runs
+// concurrently, commands ride in batches, and slots only open when there
+// is demand (no no-op filler).
 //
 //   $ ./examples/smr_log [n] [commands]
 #include <cstdio>

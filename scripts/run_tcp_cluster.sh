@@ -16,12 +16,21 @@
 # timeout.
 #
 # PROTOCOL=client runs the SMR client-path smoke instead: every node runs
-# the pipelined replicated log (--smr) with a client port, a real
-# probft_client submits $REQUESTS requests (with a forced retry of the
-# first one), and the script asserts that the client got a reply for every
-# request, that every replica executed exactly $REQUESTS commands (the
-# retry must not double-execute), and that all replicas ended with
+# the replicated log (--smr, one consensus group) with a client port, a
+# real probft_client submits $REQUESTS requests (with a forced retry of
+# the first one), and the script asserts that the client got a reply for
+# every request, that every replica executed exactly $REQUESTS commands
+# (the retry must not double-execute), and that all replicas ended with
 # identical log digests.
+#
+# PROTOCOL=reads is client mode with the linearizable read fast path on
+# (--reads 1, f=1 / l=1.5 so the leader needs real lease grants from 2f
+# other replicas): the client interleaves reads at READ_RATIO (default
+# 0.9) under READ_CONSISTENCY (default linearizable) instead of forcing a
+# retry, and the script additionally asserts every read completed (READS
+# ok — a read only counts as executed when a replica answered it with a
+# non-rejected reply) and none was stale (the client keys each read by
+# its own completed write, so probft_client exits nonzero on a mismatch).
 #
 # PROTOCOL=restart runs the crash-restart durability smoke: an SMR
 # cluster with per-node write-ahead logs (--wal-dir, checkpoint interval
@@ -46,17 +55,6 @@
 # replicas agree per shard: for each s, the N "SMRLOG ... shard=s"
 # digests are identical, and (d) every replica's dtx tracker converged
 # to the same committed/aborted counts with nothing in flight.
-#
-# PROTOCOL=reads runs the linearizable-read smoke: an SMR cluster with
-# the read fast path on (--reads 1, f=1 / l=1.5 so the leader needs real
-# lease grants from 2f other replicas), and the client interleaves reads
-# at READ_RATIO (default 0.9) under READ_CONSISTENCY (default
-# linearizable). The script asserts every write AND every read completed
-# (READS ok — a read only counts as executed when a replica answered it
-# with a non-rejected reply), that read values were never stale (the
-# client keys each read by its own completed write, so probft_client
-# exits nonzero on a mismatch), and that all replicas ended with
-# identical log digests.
 #
 # NODE_EXTRA_FLAGS appends extra probft_node flags to every node in any
 # mode — e.g. NODE_EXTRA_FLAGS="--verify-threads 2 --exec-offload 1" runs
@@ -118,18 +116,28 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Client-path smoke; with reads=1 the read fast path too (PROTOCOL=reads).
 run_client_mode() {
   local base_port=$1
   local peers=$2
+  local reads=$3
+  local ratio=${READ_RATIO:-0.9}
+  local consistency=${READ_CONSISTENCY:-linearizable}
+  local node_flags=() client_flags=(--force-retry 1)
+  if (( reads )); then
+    node_flags=(--f 1 --l 1.5 --reads 1)
+    client_flags=(--read-ratio "$ratio" --consistency "$consistency")
+  fi
   local client_servers=""
   for (( i = 0; i < N; i++ )); do
     client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
   done
+  rm -rf "$workdir"/node-*.out "$workdir"/node-*.err
 
   pids=()
   for (( id = 1; id <= N; id++ )); do
     timeout $(( DEADLINE_MS / 1000 + LINGER_MS / 1000 + 15 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 \
+      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 "${node_flags[@]}" \
         --client-port $(( base_port + 100 + id - 1 )) \
         --expect-cmds "$REQUESTS" --run-ms "$DEADLINE_MS" \
         --linger-ms "$LINGER_MS" --stats 1 $NODE_EXTRA_FLAGS \
@@ -140,7 +148,7 @@ run_client_mode() {
   sleep 1
   if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
       "$CLIENT_BIN" --servers "$client_servers" --requests "$REQUESTS" \
-        --mode closed --force-retry 1 --retry-ms 3000 \
+        --mode closed "${client_flags[@]}" --retry-ms 3000 \
         --timeout-ms "$DEADLINE_MS" > "$workdir/client.out" 2>&1; then
     echo "FAIL: client did not complete" >&2
     cat "$workdir/client.out" >&2
@@ -177,81 +185,13 @@ run_client_mode() {
     echo "FAIL: client reply accounting is off" >&2
     return 1
   fi
-  echo "OK: $N/$N replicas executed $REQUESTS client commands with identical logs"
-  return 0
-}
-
-run_reads_mode() {
-  local base_port=$1
-  local peers=$2
-  local ratio=${READ_RATIO:-0.9}
-  local consistency=${READ_CONSISTENCY:-linearizable}
-  local client_servers=""
-  for (( i = 0; i < N; i++ )); do
-    client_servers+="${client_servers:+,}127.0.0.1:$(( base_port + 100 + i ))"
-  done
-  rm -rf "$workdir"/node-*.out "$workdir"/node-*.err
-
-  pids=()
-  for (( id = 1; id <= N; id++ )); do
-    timeout $(( DEADLINE_MS / 1000 + LINGER_MS / 1000 + 15 )) \
-      "$NODE_BIN" --id "$id" --peers "$peers" --smr 1 --f 1 --l 1.5 \
-        --reads 1 \
-        --client-port $(( base_port + 100 + id - 1 )) \
-        --expect-cmds "$REQUESTS" --run-ms "$DEADLINE_MS" \
-        --linger-ms "$LINGER_MS" --stats 1 $NODE_EXTRA_FLAGS \
-        > "$workdir/node-$id.out" 2> "$workdir/node-$id.err" &
-    pids+=($!)
-  done
-
-  sleep 1
-  if ! timeout $(( DEADLINE_MS / 1000 + 10 )) \
-      "$CLIENT_BIN" --servers "$client_servers" --requests "$REQUESTS" \
-        --mode closed --read-ratio "$ratio" --consistency "$consistency" \
-        --retry-ms 3000 --timeout-ms "$DEADLINE_MS" \
-        > "$workdir/client.out" 2>&1; then
-    echo "FAIL: client did not complete its writes and reads" >&2
-    cat "$workdir/client.out" >&2
-    return 1
-  fi
-
-  local failures=0
-  for (( id = 1; id <= N; id++ )); do
-    wait "${pids[$((id - 1))]}" || failures=$((failures + 1))
-  done
-  pids=()
-  if (( failures > 0 )); then
-    if grep -lq "cannot start transport" "$workdir"/node-*.err 2>/dev/null; then
-      return 2  # retryable port clash
-    fi
-    echo "FAIL: $failures/$N SMR nodes did not reach $REQUESTS commands" >&2
-    cat "$workdir"/node-*.err >&2
-    return 1
-  fi
-
-  cat "$workdir/client.out"
-  grep -h "^SMRLOG" "$workdir"/node-*.out
-  local digests cmds
-  digests=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-              | sed 's/.*digest=//' | sort -u | wc -l)
-  cmds=$(grep -h "^SMRLOG" "$workdir"/node-*.out \
-           | grep -c "cmds=$REQUESTS ")
-  if [[ "$digests" -ne 1 || "$cmds" -ne "$N" ]]; then
-    echo "FAIL: logs diverged under the read workload" >&2
-    return 1
-  fi
-  if ! grep -q "^CLIENT ok requests=$REQUESTS replies=$REQUESTS" \
-      "$workdir/client.out"; then
-    echo "FAIL: client reply accounting is off" >&2
-    return 1
-  fi
-  if ! grep -q "^READS ok consistency=$consistency .*stale=0 " \
+  if (( reads )) && ! grep -q "^READS ok consistency=$consistency .*stale=0 " \
       "$workdir/client.out"; then
     echo "FAIL: reads incomplete or stale" >&2
     return 1
   fi
-  echo "OK: $N/$N replicas executed $REQUESTS writes with identical logs;" \
-       "$consistency reads at ratio $ratio all answered, none stale"
+  echo "OK: $N/$N replicas executed $REQUESTS client commands with identical logs"
+  (( reads )) && echo "OK: $consistency reads at ratio $ratio all answered, none stale"
   return 0
 }
 
@@ -563,9 +503,9 @@ while (( attempt < 3 )); do
   echo "attempt $attempt: protocol=$PROTOCOL n=$N peers=$peers"
 
   if [[ "$PROTOCOL" == client ]]; then
-    run_client_mode "$base_port" "$peers"
+    run_client_mode "$base_port" "$peers" 0
   elif [[ "$PROTOCOL" == reads ]]; then
-    run_reads_mode "$base_port" "$peers"
+    run_client_mode "$base_port" "$peers" 1
   elif [[ "$PROTOCOL" == restart ]]; then
     run_restart_mode "$base_port" "$peers"
   elif [[ "$PROTOCOL" == shard ]]; then

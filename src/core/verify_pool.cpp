@@ -45,6 +45,7 @@ void push_phase_task(std::vector<VerifyTask>& out, const PreverifyContext& ctx,
   t.key = VerdictCache::digest_key(pm->content_digest(), 'P',
                                    static_cast<std::uint8_t>(tag));
   t.tag = tag;
+  t.leader = leader_of(pm->proposal.view + ctx.leader_offset, ctx.n);
   t.phase = std::move(pm);
   out.push_back(std::move(t));
 }
@@ -338,9 +339,7 @@ void VerifyPool::evaluate(const std::vector<Entry*>& batch) {
                    slot != leader_slots.end()) {
           w.leader_check = slot->second;
         } else {
-          const ReplicaId leader =
-              leader_of(m.proposal.view + ctx_.leader_offset, ctx_.n);
-          w.leader_check = add_check(leader, w.leader_msg,
+          w.leader_check = add_check(t.leader, w.leader_msg,
                                      m.proposal.leader_sig);
           leader_slots.emplace(w.leader_key, w.leader_check);
         }

@@ -78,6 +78,9 @@ struct VerifyTask {
   // kPhaseFull ('P' verdicts; tag selects the prepare/commit VRF domain):
   MsgTag tag = MsgTag::kPrepare;
   PhaseMsgPtr phase;
+  /// The proposal's view leader under the extracting context's
+  /// leader_offset — per frame, since one pool serves every shard.
+  ReplicaId leader = 0;
 };
 
 /// Decodes one core-protocol message and lists the verdicts it will need.

@@ -261,12 +261,13 @@ DtxCoordinator::Tx* DtxCoordinator::apply_entry(ShardId shard,
   return nullptr;
 }
 
-void DtxCoordinator::on_execute(ShardId shard,
+bool DtxCoordinator::on_execute(ShardId shard,
                                 const smr::ExecutedCommand& cmd) {
   Tx* tx = apply_entry(shard, cmd.payload);
-  if (tx == nullptr) return;
+  if (tx == nullptr) return false;
   drive(*tx);
   arm_pump();
+  return true;
 }
 
 void DtxCoordinator::rebuild_from_logs() {

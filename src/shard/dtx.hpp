@@ -88,8 +88,12 @@ class DtxCoordinator {
   bool submit(std::uint64_t client, std::uint64_t seq, const Bytes& payload);
 
   /// Wire this into ShardedSmrConfig::on_execute — the tracker advances
-  /// purely from executed entries.
-  void on_execute(ShardId shard, const smr::ExecutedCommand& cmd);
+  /// purely from executed entries. Returns whether the entry was taken as
+  /// a BEGIN/PREPARE/DECIDE/APPLY entry: those are protocol bookkeeping,
+  /// not client commands, and get no client reply. Anything else —
+  /// including an ordinary write that merely starts with "DX" — is
+  /// application data.
+  bool on_execute(ShardId shard, const smr::ExecutedCommand& cmd);
 
   /// Post-recovery: reconstructs tx state from every group's executed
   /// log, then resumes driving whatever is still in flight.

@@ -10,7 +10,7 @@ namespace probft::shard {
 std::vector<core::VerifyTask> preverify_tasks(
     const core::PreverifyContext& ctx, std::uint8_t tag,
     const Bytes& payload) {
-  if (tag != kShardTag) return {};
+  if (tag != kShardTag) return smr::preverify_tasks(ctx, tag, payload);
   try {
     Reader r{ByteSpan(payload.data(), payload.size())};
     const ShardId shard = r.u32();

@@ -6,7 +6,9 @@
 // signatures verify against leader_of(view + shard, n) — the group's
 // rotated schedule), and recurses into smr::preverify_tasks. One pool and
 // one verdict cache therefore serve every group: signatures from ALL
-// shards land in the same verify_batch MSM.
+// shards land in the same verify_batch MSM. Every other tag is unwrapped
+// SMR traffic (the S = 1 wire) and goes straight to smr::preverify_tasks,
+// so this one extractor serves a service of any shard count.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,8 @@
 
 namespace probft::shard {
 
-/// Drop-in PreverifyFn for a pool sitting in front of a ShardedSmr.
+/// Drop-in PreverifyFn for a pool sitting in front of a ShardedSmr of any
+/// shard count.
 [[nodiscard]] std::vector<core::VerifyTask> preverify_tasks(
     const core::PreverifyContext& ctx, std::uint8_t tag,
     const Bytes& payload);

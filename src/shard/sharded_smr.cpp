@@ -30,7 +30,9 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
   for (ShardId s = 0; s < shards; ++s) {
     smr::SmrConfig gc = cfg_.base;
     gc.leader_offset = s;
-    gc.forward_submissions = false;  // this layer forwards (with version)
+    // S > 1: this layer forwards (with the map version); S = 1: the engine
+    // forwards itself, as kSmrForwardTag.
+    gc.forward_submissions = shards == 1;
     gc.wal = cfg_.wals.empty() ? nullptr : cfg_.wals[s];
     gc.on_execute = [this, s](const smr::ExecutedCommand& cmd) {
       if (cfg_.on_execute) cfg_.on_execute(s, cmd);
@@ -41,6 +43,7 @@ ShardedSmr::ShardedSmr(ShardedSmrConfig config, core::ProtocolHost host)
 }
 
 core::ProtocolHost ShardedSmr::group_host(ShardId s) {
+  if (shard_count() == 1) return host_;
   core::ProtocolHost gh;
   gh.send = [this, s](ReplicaId to, std::uint8_t tag, const Bytes& m) {
     Writer w;
@@ -72,8 +75,12 @@ bool ShardedSmr::submit_request(std::uint64_t client, std::uint64_t seq,
   // raw bytes, so a read of that key routes to the shard that owns its
   // writes. Payloads without '=' key as the whole payload — placement for
   // every historical opaque workload (and its pinned digests) unchanged.
-  const ShardId s = placement_.shard_of(smr::read_view_key(span(payload)));
+  const ShardId s = owner_of(payload);
   return submit_to_shard(s, client, seq, std::move(payload));
+}
+
+ShardId ShardedSmr::owner_of(const Bytes& payload) const {
+  return placement_.shard_of(smr::read_view_key(span(payload)));
 }
 
 void ShardedSmr::submit_read(Bytes key, net::ReadConsistency consistency,
@@ -89,7 +96,7 @@ bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
   if (s >= shard_count()) return false;
   const ReplicaId lead = lead_replica(s, cfg_.base.n);
   Bytes forward;
-  if (lead != cfg_.base.id) {
+  if (shard_count() > 1 && lead != cfg_.base.id) {
     Writer w;
     w.u64(cfg_.map.version);
     w.u32(s);
@@ -140,7 +147,9 @@ void ShardedSmr::on_message(ReplicaId from, std::uint8_t tag,
         handle_forward(from, payload);
         break;
       default:
-        break;  // not shard traffic
+        // Unwrapped SMR traffic: the S = 1 wire.
+        groups_[0]->on_message(from, tag, payload);
+        break;
     }
   } catch (const CodecError&) {
     // Malformed envelope: drop.
@@ -157,6 +166,12 @@ std::uint64_t ShardedSmr::committed_slots() const {
   std::uint64_t total = 0;
   for (const auto& group : groups_) total += group->committed_slots();
   return total;
+}
+
+std::string group_wal_dir(const std::string& root, ShardId s,
+                          std::uint32_t shard_count) {
+  if (shard_count == 1) return root;
+  return root + "/shard-" + std::to_string(s);
 }
 
 }  // namespace probft::shard

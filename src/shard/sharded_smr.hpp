@@ -1,4 +1,5 @@
-// Sharded SMR: S independent consensus groups behind one transport.
+// Sharded SMR: S independent consensus groups behind one transport. This
+// is the one SMR service; the plain replicated log is S = 1.
 //
 // Each group is a full smr::SmrReplica — its own slot window, batches,
 // checkpoints, view state and (optionally) WAL — constructed with
@@ -26,6 +27,12 @@
 // single-group engine's behavior, hoisted one layer up so the frame can
 // carry the ShardMap version — a receiver under a different map drops the
 // frame instead of committing it to the wrong group's log).
+//
+// S = 1 is the bare engine on the wire: the single group talks through
+// the service's own host (no kShardTag envelope, on_commit passes
+// through), forwards its own submissions as kSmrForwardTag, and receives
+// every non-shard frame. A one-group fleet therefore sends exactly the
+// bytes a fleet of plain smr::SmrReplicas sends.
 //
 // Thread ownership: ShardedSmr has no locking of its own. Like the
 // SmrReplica it wraps, every entry point (on_message, submit_request,
@@ -69,7 +76,7 @@ struct ShardedSmrConfig {
   /// Optional per-shard WALs (index = shard id; empty = no durability,
   /// size must otherwise equal shard_count). Non-owning; must outlive
   /// the service. Each group persists under its own segment namespace —
-  /// one directory per shard in the node binary.
+  /// group_wal_dir() is the directory layout.
   std::vector<store::Wal*> wals;
 
   /// Called once per executed request of any group, tagged with the
@@ -95,6 +102,11 @@ class ShardedSmr : public core::INode {
   /// verdict — false for duplicates and unbatchable payloads, like the
   /// single-group engine.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
+
+  /// The group that owns a request payload: placement by its
+  /// read_view_key (the bytes before the first '='), so a key's writes
+  /// and reads meet in one group.
+  [[nodiscard]] ShardId owner_of(const Bytes& payload) const;
 
   /// Same, with the owning shard chosen by the caller (the dtx
   /// coordinator places its own entries).
@@ -126,7 +138,8 @@ class ShardedSmr : public core::INode {
   [[nodiscard]] std::uint64_t committed_slots() const;
 
  private:
-  /// Host handed to group `s`: wraps every frame in the shard envelope.
+  /// Host handed to group `s`: wraps every frame in the shard envelope
+  /// (S = 1: the service's own host, unwrapped).
   [[nodiscard]] core::ProtocolHost group_host(ShardId s);
   void handle_forward(ReplicaId from, const Bytes& payload);
 
@@ -135,5 +148,11 @@ class ShardedSmr : public core::INode {
   Placement placement_;
   std::vector<std::unique_ptr<smr::SmrReplica>> groups_;
 };
+
+/// Where group `s` of an S-group service keeps its WAL under `root`:
+/// `root` itself at S = 1 (the unsharded layout, so an existing log still
+/// recovers), `root`/shard-<s> otherwise.
+[[nodiscard]] std::string group_wal_dir(const std::string& root, ShardId s,
+                                        std::uint32_t shard_count);
 
 }  // namespace probft::shard

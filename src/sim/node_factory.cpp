@@ -55,8 +55,7 @@ std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
   return nullptr;  // unreachable
 }
 
-std::unique_ptr<smr::SmrReplica> make_smr_node(const NodeParams& params,
-                                               core::ProtocolHost host) {
+smr::SmrConfig smr_config(const NodeParams& params) {
   smr::SmrConfig cfg;
   cfg.id = params.id;
   cfg.n = params.n;
@@ -72,7 +71,13 @@ std::unique_ptr<smr::SmrReplica> make_smr_node(const NodeParams& params,
   cfg.sync = params.sync;
   cfg.wal = params.wal;
   cfg.on_execute = params.on_execute;
-  return std::make_unique<smr::SmrReplica>(std::move(cfg), std::move(host));
+  return cfg;
+}
+
+std::unique_ptr<smr::SmrReplica> make_smr_node(const NodeParams& params,
+                                               core::ProtocolHost host) {
+  return std::make_unique<smr::SmrReplica>(smr_config(params),
+                                           std::move(host));
 }
 
 Bytes default_node_value(const Bytes& prefix, ReplicaId id) {

@@ -60,6 +60,12 @@ struct NodeParams {
 [[nodiscard]] std::unique_ptr<core::INode> make_honest_node(
     const NodeParams& params, core::ProtocolHost host);
 
+/// The smr::SmrConfig of an SMR node: keys, suite, sync, verdicts,
+/// pipeline shape, WAL and on_execute from `params` (`params.protocol`
+/// and `params.my_value` are ignored). Also the per-group template of a
+/// shard::ShardedSmr.
+[[nodiscard]] smr::SmrConfig smr_config(const NodeParams& params);
+
 /// Builds a pipelined SMR replica (ProBFT-backed log) against `host`,
 /// using the same key/suite/sync plumbing as the single-shot factory —
 /// `params.protocol` and `params.my_value` are ignored. Both deployment

@@ -383,272 +383,6 @@ void apply_network_fault(net::Network& network, net::Simulator& sim,
   }
 }
 
-/// The sharded SMR run path: n shard::ShardedSmr nodes (spec.shards
-/// consensus groups each) over the simulated network. Each workload
-/// command is an independent client routed by the placement layer;
-/// completion means every accountable replica executed the full workload
-/// across its groups, agreement means per-shard log prefix-consistency.
-/// Kept separate from the single-group path so the pinned S = 1
-/// transcripts stay bit-for-bit untouched.
-ScenarioOutcome run_scenario_smr_sharded(const ScenarioSpec& spec,
-                                         std::uint64_t seed) {
-  const ClusterConfig cfg = make_cluster_config(spec, seed);
-  net::Simulator sim;
-  net::Network network(sim, spec.n, seed, cfg.latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(spec.n + 1);
-  std::vector<Bytes> key_table(spec.n + 1);
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
-  std::vector<bool> down(spec.n + 1, false);
-  if (spec.fault == Fault::kSilentFollowers) {
-    for (std::uint32_t i = 0; i < spec.f && i < spec.n; ++i) {
-      down[spec.n - i] = true;
-    }
-  }
-  // The shard-silenced leader keeps running (and its logs must still
-  // agree) but cannot push its own shard-0 votes or pulls out, so it is
-  // excused from the completion count — the regression this fault exists
-  // for is that the SIBLING shards and replicas finish regardless.
-  const ReplicaId silenced = spec.fault == Fault::kShardSilentLeader
-                                 ? shard::lead_replica(0, spec.n)
-                                 : 0;
-
-  // Crash-restart shape: as in the single-group path, but the victim
-  // persists one WAL per consensus group (matching the per-shard
-  // directory layout the node binary uses).
-  const ReplicaId victim = spec.fault == Fault::kKillRestart ? 2 : 0;
-  smr::SmrOptions smr_opts = spec.smr;
-  std::vector<std::unique_ptr<store::Wal>> victim_wals;
-  std::filesystem::path wal_root;
-  if (victim != 0) {
-    smr_opts.checkpoint_interval = 2;
-    wal_root = std::filesystem::temp_directory_path() /
-               ("probft-skr-" + std::to_string(::getpid()) + "-" +
-                std::to_string(seed));
-    std::filesystem::remove_all(wal_root);
-    for (std::uint32_t s = 0; s < spec.shards; ++s) {
-      victim_wals.push_back(std::make_unique<store::Wal>(store::WalOptions{
-          (wal_root / ("shard-" + std::to_string(s))).string(),
-          /*fsync=*/false}));
-    }
-  }
-  std::vector<std::uint64_t> epochs(spec.n + 1, 0);
-
-  const std::uint64_t target = spec.smr_commands;
-  std::size_t correct_total = 0;
-  std::size_t done = 0;
-  TimePoint last_execution_at = 0;
-  std::vector<std::uint64_t> execd(spec.n + 1, 0);
-
-  std::vector<std::unique_ptr<shard::ShardedSmr>> nodes(spec.n + 1);
-  std::function<void(ReplicaId)> build_node = [&](ReplicaId id) {
-    shard::ShardedSmrConfig sc;
-    sc.base.id = id;
-    sc.base.n = spec.n;
-    sc.base.f = spec.f;
-    sc.base.o = spec.o;
-    sc.base.l = spec.l;
-    sc.base.pipeline = smr_opts;
-    sc.base.fast_verify = true;
-    sc.base.suite = suite.get();
-    sc.base.secret_key = keys[id].secret_key;
-    sc.base.public_keys = public_keys;
-    sc.map.version = 1;
-    sc.map.shard_count = spec.shards;
-    if (id == victim) {
-      for (const auto& wal : victim_wals) sc.wals.push_back(wal.get());
-    }
-    sc.on_execute = [&execd, &done, &down, &last_execution_at, &sim, target,
-                     silenced, id](shard::ShardId,
-                                   const smr::ExecutedCommand&) {
-      last_execution_at = sim.now();
-      if (!down[id] && id != silenced && ++execd[id] == target) ++done;
-    };
-    core::ProtocolHost host = transport_host(
-        network, id,
-        [&sim, &epochs, id, guarded = victim != 0](Duration d,
-                                                   std::function<void()> fn) {
-          if (!guarded) {
-            sim.schedule_after(d, std::move(fn));
-            return;
-          }
-          const std::uint64_t epoch = epochs[id];
-          sim.schedule_after(d, [&epochs, id, epoch, fn = std::move(fn)] {
-            if (epochs[id] == epoch) fn();
-          });
-        });
-    nodes[id] = std::make_unique<shard::ShardedSmr>(std::move(sc),
-                                                    std::move(host));
-    network.register_handler(
-        id, [&nodes, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          if (nodes[id]) nodes[id]->on_message(from, tag, m);
-        });
-  };
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id] && id != silenced) ++correct_total;
-    build_node(id);
-  }
-
-  if (victim != 0) {
-    sim.schedule_after(250'000, [&epochs, &nodes, victim] {
-      ++epochs[victim];
-      nodes[victim].reset();
-    });
-    sim.schedule_after(450'000, [&build_node, &nodes, &victim_wals,
-                                 &wal_root, &spec, victim] {
-      // Re-open every per-shard log from disk (the Wal's recovery views
-      // are fixed at open — reuse would replay nothing).
-      for (std::uint32_t s = 0; s < spec.shards; ++s) {
-        victim_wals[s].reset();
-        victim_wals[s] = std::make_unique<store::Wal>(store::WalOptions{
-            (wal_root / ("shard-" + std::to_string(s))).string(),
-            /*fsync=*/false});
-      }
-      build_node(victim);
-      nodes[victim]->start();
-    });
-  }
-
-  if (spec.fault == Fault::kSilentFollowers) {
-    network.set_filter([&down](ReplicaId from, ReplicaId to, std::uint8_t) {
-      return down[from] || down[to];
-    });
-  } else if (spec.fault == Fault::kShardSilentLeader) {
-    // Drop only the kShardTag frames the silenced replica sends for
-    // shard 0: every other shard's traffic from the same replica flows,
-    // which is exactly what "one group's leader went quiet" looks like.
-    network.set_payload_filter(
-        [silenced](ReplicaId from, ReplicaId /*to*/, std::uint8_t tag,
-                   const Bytes& payload) {
-          if (from != silenced || tag != shard::kShardTag) return false;
-          try {
-            Reader r{ByteSpan(payload.data(), payload.size())};
-            return r.u32() == 0;
-          } catch (const CodecError&) {
-            return false;
-          }
-        });
-  } else {
-    apply_network_fault(network, sim, spec, cfg.latency.gst, seed);
-  }
-
-  // Two-wave workload, one independent client per command (a sharded
-  // deployment routes many clients; per-client seq ordering is a
-  // per-group property, so reusing one client across groups would make
-  // the engine's "superseded seq" dedup eat reordered forwards). The
-  // entry replica avoids the silenced shard-0 leader so wave requests
-  // keep a live proposer path (the group view-changes to the entry's
-  // local queue).
-  const ReplicaId entry1 = silenced == 1 && spec.n >= 2 ? 2 : 1;
-  const ReplicaId entry2 = spec.n >= 2 ? 2 : 1;
-  const ReplicaId entry3 = spec.n >= 3 ? 3 : 1;
-  const std::uint64_t wave1 = (target + 1) / 2;
-  sim.schedule_after(1'000, [&nodes, wave1, entry1] {
-    for (std::uint64_t i = 1; i <= wave1; ++i) {
-      (void)nodes[entry1]->submit_request(9000 + i, 1,
-                                          to_bytes("cmd-" + std::to_string(i)));
-    }
-  });
-  sim.schedule_after(500'000, [&nodes, wave1, target, entry1, entry2,
-                               entry3] {
-    // A client retry of the first request against another replica: the
-    // owning group's dedup must keep it from executing twice.
-    (void)nodes[entry3]->submit_request(9001, 1, to_bytes("cmd-1"));
-    for (std::uint64_t i = wave1 + 1; i <= target; ++i) {
-      const ReplicaId entry = i == wave1 + 1 ? entry2 : entry1;
-      (void)nodes[entry]->submit_request(9000 + i, 1,
-                                         to_bytes("cmd-" + std::to_string(i)));
-    }
-  });
-
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id]) nodes[id]->start();
-  }
-  std::size_t fired = 0;
-  while (done < correct_total && fired < spec.max_events &&
-         sim.now() < spec.deadline) {
-    if (!sim.step()) break;
-    ++fired;
-  }
-
-  // Recount from replica state (checkpoint adoption skips per-command
-  // callbacks, exactly as in the single-group path).
-  done = 0;
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || id == silenced || !nodes[id]) continue;
-    if (nodes[id]->executed_commands() >= target) ++done;
-  }
-
-  ScenarioOutcome outcome;
-  outcome.seed = seed;
-  outcome.terminated = done == correct_total;
-  outcome.decided = done;
-  outcome.correct = correct_total;
-  outcome.messages = network.stats().sends;
-  outcome.bytes = network.stats().bytes_sent;
-  outcome.events = sim.events_fired();
-  outcome.last_decision_at = last_execution_at;
-
-  // Agreement shard by shard: within each group, correct replicas'
-  // retained slot logs must agree wherever they overlap with the
-  // furthest-executed replica's, and equal-length logs must share the
-  // chained digest.
-  bool agreement = true;
-  std::ostringstream transcript;
-  for (std::uint32_t s = 0; s < spec.shards; ++s) {
-    const smr::SmrReplica* longest = nullptr;
-    for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) continue;
-      const auto& g = nodes[id]->group(s);
-      if (longest == nullptr ||
-          g.committed_slots() > longest->committed_slots()) {
-        longest = &g;
-      }
-    }
-    for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) {
-        if (s == 0) transcript << id << " down\n";
-        continue;
-      }
-      const auto& g = nodes[id]->group(s);
-      const auto& slot_log = g.slot_log();
-      const std::uint64_t base = g.log_base();
-      for (std::size_t i = 0; i < slot_log.size(); ++i) {
-        const std::uint64_t slot = base + i;
-        if (slot < longest->log_base() ||
-            slot >= longest->committed_slots()) {
-          continue;
-        }
-        if (slot_log[i] !=
-            longest->slot_log()[slot - longest->log_base()]) {
-          agreement = false;
-        }
-      }
-      if (g.committed_slots() == longest->committed_slots() &&
-          g.log_digest() != longest->log_digest()) {
-        agreement = false;
-      }
-      transcript << id << " s" << s << " " << g.executed_commands() << " "
-                 << g.committed_slots() << " " << g.log_base() << " "
-                 << g.log_digest() << "\n";
-    }
-  }
-  outcome.agreement = agreement;
-  outcome.transcript = transcript.str();
-  if (victim != 0) {
-    std::error_code ec;
-    victim_wals.clear();
-    std::filesystem::remove_all(wal_root, ec);
-  }
-  return outcome;
-}
-
 }  // namespace
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
@@ -681,11 +415,11 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
 
 ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                  std::uint64_t seed) {
-  if (spec.shards > 1) return run_scenario_smr_sharded(spec, seed);
   const ClusterConfig cfg = make_cluster_config(spec, seed);
   net::Simulator sim;
   net::Network network(sim, spec.n, seed, cfg.latency);
   const auto suite = crypto::make_sim_suite();
+  const std::uint32_t shards = spec.shards;
 
   std::vector<crypto::KeyPair> keys(spec.n + 1);
   std::vector<Bytes> key_table(spec.n + 1);
@@ -704,10 +438,18 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
       down[spec.n - i] = true;
     }
   }
+  // The shard-silenced leader keeps running (and its logs must still
+  // agree) but cannot push its own shard-0 votes or pulls out, so it is
+  // excused from the completion count — the regression this fault exists
+  // for is that the SIBLING shards and replicas finish regardless.
+  const ReplicaId silenced = spec.fault == Fault::kShardSilentLeader
+                                 ? shard::lead_replica(0, spec.n)
+                                 : 0;
 
   // Crash-restart shape: replica 2 is killed mid-run (node object
   // destroyed, exactly what a kill -9 looks like to the others) and later
-  // reconstructed from its write-ahead log. A small checkpoint interval
+  // reconstructed from its write-ahead logs, one per consensus group in
+  // the node binary's directory layout. A small checkpoint interval
   // makes the fleet stabilize a checkpoint before the kill so recovery
   // starts from it rather than from genesis.
   const ReplicaId victim = spec.fault == Fault::kKillRestart ? 2 : 0;
@@ -725,18 +467,27 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     smr_opts.lease_duration = 100'000;
     smr_opts.lease_skew = 25'000;
   }
-  std::unique_ptr<store::Wal> victim_wal;
-  std::filesystem::path wal_dir;
+  std::vector<std::unique_ptr<store::Wal>> victim_wals(shards);
+  std::filesystem::path wal_root;
+  // A real restart re-opens the logs from disk; a Wal's recovery views
+  // are fixed at open, so reusing the pre-kill objects would hand the
+  // "recovered" replica empty record lists. The simulator only fakes the
+  // crash (object teardown, not process death), so fsync buys nothing.
+  const auto open_victim_wals = [&victim_wals, &wal_root, shards] {
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      victim_wals[s].reset();
+      victim_wals[s] = std::make_unique<store::Wal>(store::WalOptions{
+          shard::group_wal_dir(wal_root.string(), s, shards),
+          /*fsync=*/false});
+    }
+  };
   if (victim != 0) {
     smr_opts.checkpoint_interval = 2;
-    wal_dir = std::filesystem::temp_directory_path() /
-              ("probft-kr-" + std::to_string(::getpid()) + "-" +
-               std::to_string(seed));
-    std::filesystem::remove_all(wal_dir);
-    // The simulator only fakes the crash (object teardown, not process
-    // death), so fsync buys nothing here — skip it for speed.
-    victim_wal = std::make_unique<store::Wal>(
-        store::WalOptions{wal_dir.string(), /*fsync=*/false});
+    wal_root = std::filesystem::temp_directory_path() /
+               ("probft-kr-" + std::to_string(::getpid()) + "-" +
+                std::to_string(seed));
+    std::filesystem::remove_all(wal_root);
+    open_victim_wals();
   }
   // Timers scheduled by a killed node must not fire into freed memory:
   // under kill-restart every node's timer callbacks are epoch-guarded and
@@ -748,7 +499,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   std::size_t done = 0;  // correct replicas that executed the full workload
   TimePoint last_execution_at = 0;
 
-  std::vector<std::unique_ptr<smr::SmrReplica>> nodes(spec.n + 1);
+  std::vector<std::unique_ptr<shard::ShardedSmr>> nodes(spec.n + 1);
   std::function<void(ReplicaId)> build_node = [&](ReplicaId id) {
     NodeParams params;
     params.id = id;
@@ -760,7 +511,22 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     params.suite = suite.get();
     params.secret_key = keys[id].secret_key;
     params.public_keys = public_keys;
-    if (id == victim) params.wal = victim_wal.get();
+    shard::ShardedSmrConfig sc;
+    sc.base = smr_config(params);
+    sc.map.version = 1;
+    sc.map.shard_count = shards;
+    if (id == victim) {
+      for (const auto& wal : victim_wals) sc.wals.push_back(wal.get());
+    }
+    sc.on_execute = [&nodes, &done, &down, &last_execution_at, &sim, target,
+                     silenced, id](shard::ShardId,
+                                   const smr::ExecutedCommand&) {
+      last_execution_at = sim.now();
+      if (!down[id] && id != silenced &&
+          nodes[id]->executed_commands() == target) {
+        ++done;
+      }
+    };
     core::ProtocolHost host = transport_host(
         network, id,
         [&sim, &epochs, id, guarded = victim != 0](Duration d,
@@ -774,19 +540,15 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
             if (epochs[id] == epoch) fn();
           });
         });
-    host.on_commit = [&done, &down, &last_execution_at, &sim, target, id](
-                         std::uint64_t index, const Bytes&) {
-      last_execution_at = sim.now();
-      if (!down[id] && index + 1 == target) ++done;
-    };
-    nodes[id] = make_smr_node(params, std::move(host));
+    nodes[id] = std::make_unique<shard::ShardedSmr>(std::move(sc),
+                                                    std::move(host));
     network.register_handler(
         id, [&nodes, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
           if (nodes[id]) nodes[id]->on_message(from, tag, m);
         });
   };
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id]) ++correct_total;
+    if (!down[id] && id != silenced) ++correct_total;
     build_node(id);
   }
 
@@ -798,14 +560,9 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
       ++epochs[victim];
       nodes[victim].reset();
     });
-    sim.schedule_after(450'000, [&build_node, &nodes, &victim_wal, wal_dir,
+    sim.schedule_after(450'000, [&build_node, &nodes, &open_victim_wals,
                                  victim] {
-      // A real restart re-opens the log from disk; the Wal's recovery
-      // views are fixed at open, so reusing the pre-kill object would
-      // hand the "recovered" replica an empty record list.
-      victim_wal.reset();
-      victim_wal = std::make_unique<store::Wal>(
-          store::WalOptions{wal_dir.string(), /*fsync=*/false});
+      open_victim_wals();
       build_node(victim);
       nodes[victim]->start();
     });
@@ -815,6 +572,21 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     network.set_filter([&down](ReplicaId from, ReplicaId to, std::uint8_t) {
       return down[from] || down[to];
     });
+  } else if (spec.fault == Fault::kShardSilentLeader) {
+    // Drop only the kShardTag frames the silenced replica sends for
+    // shard 0: every other shard's traffic from the same replica flows,
+    // which is exactly what "one group's leader went quiet" looks like.
+    network.set_payload_filter(
+        [silenced](ReplicaId from, ReplicaId /*to*/, std::uint8_t tag,
+                   const Bytes& payload) {
+          if (from != silenced || tag != shard::kShardTag) return false;
+          try {
+            Reader r{ByteSpan(payload.data(), payload.size())};
+            return r.u32() == 0;
+          } catch (const CodecError&) {
+            return false;
+          }
+        });
   } else {
     apply_network_fault(network, sim, spec, cfg.latency.gst, seed);
   }
@@ -824,47 +596,44 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // 400 ms), so replicas that missed wave 1 see fresh slot traffic, open
   // the missed slots and backfill them via decided-value hints/pulls.
   //
-  // Client shape: the historical smr workload pipelines one client
+  // Client shape: the single-group smr workload pipelines one client
   // (9001) through consecutive seqs — every pinned transcript was
-  // captured against it. The reads workload instead gives each command
-  // its own client id: lease promises legitimately delay view changes
-  // (a wish defers for up to duration + skew), so a stalled slot can
-  // resolve empty after later slots already executed — and a pipelined
-  // client's requeued low seqs would then be superseded by its executed
-  // high seq under highest-seq dedup. Distinct clients make delayed
-  // commands re-proposable instead of droppable.
+  // captured against it. The reads workload and sharded fleets instead
+  // give each command its own client id. Lease promises legitimately
+  // delay view changes (a wish defers for up to duration + skew), so a
+  // stalled slot can resolve empty after later slots already executed —
+  // and a pipelined client's requeued low seqs would then be superseded
+  // by its executed high seq under highest-seq dedup. Per-client seq
+  // order is likewise a per-group property, so one client spread across
+  // groups would let that dedup eat reordered forwards. Distinct clients
+  // make delayed commands re-proposable instead of droppable. The entry
+  // replica avoids the silenced shard-0 leader so wave requests keep a
+  // live proposer path.
+  const bool pipelined = shards == 1 && !with_reads;
+  const ReplicaId entry1 = silenced == 1 && spec.n >= 2 ? 2 : 1;
   const ReplicaId entry2 = spec.n >= 2 ? 2 : 1;
   const ReplicaId entry3 = spec.n >= 3 ? 3 : 1;
   const std::uint64_t wave1 = (target + 1) / 2;
-  const auto wave_client = [with_reads](std::uint64_t i) {
-    return with_reads ? 9100 + i : 9001;
+  const auto submit = [&nodes, pipelined](ReplicaId entry, std::uint64_t i) {
+    (void)nodes[entry]->submit_request(pipelined ? 9001 : 9100 + i,
+                                       pipelined ? i : 1,
+                                       to_bytes("cmd-" + std::to_string(i)));
   };
-  const auto wave_seq = [with_reads](std::uint64_t i) {
-    return with_reads ? 1 : i;
-  };
-  sim.schedule_after(1'000, [&nodes, wave1, wave_client, wave_seq] {
-    for (std::uint64_t i = 1; i <= wave1; ++i) {
-      (void)nodes[1]->submit_request(wave_client(i), wave_seq(i),
-                                     to_bytes("cmd-" + std::to_string(i)));
-    }
+  sim.schedule_after(1'000, [submit, wave1, entry1] {
+    for (std::uint64_t i = 1; i <= wave1; ++i) submit(entry1, i);
   });
-  sim.schedule_after(500'000, [&nodes, wave1, target, entry2, entry3,
-                               wave_client, wave_seq] {
+  sim.schedule_after(500'000, [&nodes, submit, wave1, target, entry1, entry2,
+                               entry3] {
     // A client retry of the first request against another replica: the
-    // dedup table must keep it from executing twice.
-    (void)nodes[entry3]->submit_request(wave_client(1), wave_seq(1),
-                                        to_bytes("cmd-1"));
+    // owning group's dedup must keep it from executing twice.
+    submit(entry3, 1);
     std::uint64_t next = wave1 + 1;
     if (next <= target) {
       // A second client entering at a non-leader replica (forwarded).
       (void)nodes[entry2]->submit_request(9002, 1, to_bytes("cmd-w2"));
       ++next;
     }
-    for (; next <= target; ++next) {
-      (void)nodes[1]->submit_request(
-          wave_client(next - 1), wave_seq(next - 1),
-          to_bytes("cmd-" + std::to_string(next - 1)));
-    }
+    for (; next <= target; ++next) submit(entry1, next - 1);
   });
 
   for (ReplicaId id = 1; id <= spec.n; ++id) {
@@ -925,13 +694,12 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
 
   // Recount completion from replica state rather than trusting the
   // incremental counter: a replica that adopted a certified checkpoint
-  // jumped past individual executions, so its on_commit callbacks never
-  // saw the final index even though it holds the full workload.
+  // jumped past individual executions, so its on_execute callbacks never
+  // saw the final count even though it holds the full workload.
   done = 0;
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id] && nodes[id] && nodes[id]->executed_commands() >= target) {
-      ++done;
-    }
+    if (down[id] || id == silenced || !nodes[id]) continue;
+    if (nodes[id]->executed_commands() >= target) ++done;
   }
 
   ScenarioOutcome outcome;
@@ -948,55 +716,62 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   outcome.reads_rejected = reads_rejected;
   outcome.stale_reads = stale_reads;
 
-  // Agreement at the log level: correct replicas' retained slot logs must
+  // Agreement group by group: correct replicas' retained slot logs must
   // agree wherever they overlap (logs may start at different bases once
   // stable checkpoints truncate them). The reference is the replica that
-  // executed furthest.
-  const smr::SmrReplica* longest = nullptr;
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || !nodes[id]) continue;
-    if (longest == nullptr ||
-        nodes[id]->committed_slots() > longest->committed_slots()) {
-      longest = nodes[id].get();
-    }
-  }
+  // executed furthest in that group.
   bool agreement = true;
   std::ostringstream transcript;
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || !nodes[id]) {
-      transcript << id << " down\n";
-      continue;
-    }
-    const auto& slot_log = nodes[id]->slot_log();
-    const std::uint64_t base = nodes[id]->log_base();
-    for (std::size_t i = 0; i < slot_log.size(); ++i) {
-      const std::uint64_t slot = base + i;
-      if (slot < longest->log_base() ||
-          slot >= longest->committed_slots()) {
-        continue;  // outside the reference's retained range
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const smr::SmrReplica* longest = nullptr;
+    for (ReplicaId id = 1; id <= spec.n; ++id) {
+      if (down[id] || !nodes[id]) continue;
+      const auto& g = nodes[id]->group(s);
+      if (longest == nullptr ||
+          g.committed_slots() > longest->committed_slots()) {
+        longest = &g;
       }
-      if (slot_log[i] !=
-          longest->slot_log()[slot - longest->log_base()]) {
+    }
+    for (ReplicaId id = 1; id <= spec.n; ++id) {
+      if (down[id] || !nodes[id]) {
+        if (s == 0) transcript << id << " down\n";
+        continue;
+      }
+      const auto& g = nodes[id]->group(s);
+      const auto& slot_log = g.slot_log();
+      const std::uint64_t base = g.log_base();
+      for (std::size_t i = 0; i < slot_log.size(); ++i) {
+        const std::uint64_t slot = base + i;
+        if (slot < longest->log_base() ||
+            slot >= longest->committed_slots()) {
+          continue;  // outside the reference's retained range
+        }
+        if (slot_log[i] !=
+            longest->slot_log()[slot - longest->log_base()]) {
+          agreement = false;
+        }
+      }
+      // Replicas that executed equally far must hold bit-identical logs:
+      // the chained digest covers truncated slots too.
+      if (g.committed_slots() == longest->committed_slots() &&
+          g.log_digest() != longest->log_digest()) {
         agreement = false;
       }
+      // One line per replica and group; the group field is absent at
+      // S = 1 (the pinned single-group transcript format).
+      transcript << id;
+      if (shards > 1) transcript << " s" << s;
+      transcript << " " << g.executed_commands() << " "
+                 << g.committed_slots() << " " << g.log_base() << " "
+                 << g.log_digest() << "\n";
     }
-    // Replicas that executed equally far must hold bit-identical logs:
-    // the chained digest covers truncated slots too.
-    if (nodes[id]->committed_slots() == longest->committed_slots() &&
-        nodes[id]->log_digest() != longest->log_digest()) {
-      agreement = false;
-    }
-    transcript << id << " " << nodes[id]->executed_commands() << " "
-               << nodes[id]->committed_slots() << " "
-               << nodes[id]->log_base() << " " << nodes[id]->log_digest()
-               << "\n";
   }
   outcome.agreement = agreement;
   outcome.transcript = transcript.str();
   if (victim != 0) {
     std::error_code ec;
-    victim_wal.reset();
-    std::filesystem::remove_all(wal_dir, ec);
+    victim_wals.clear();
+    std::filesystem::remove_all(wal_root, ec);
   }
   return outcome;
 }

@@ -173,10 +173,10 @@ struct SmrConfig {
   View leader_offset = 0;
 
   /// Forward submissions at a non-leader to the view-1 leader over
-  /// kSmrForwardTag (the single-group default). shard::ShardedSmr turns
-  /// this off and forwards at its own layer (kShardForwardTag, which
-  /// carries the ShardMap version); the local enqueue stays either way
-  /// as the liveness fallback.
+  /// kSmrForwardTag (the single-group default). shard::ShardedSmr with
+  /// S > 1 turns this off and forwards at its own layer
+  /// (kShardForwardTag, which carries the ShardMap version); the local
+  /// enqueue stays either way as the liveness fallback.
   bool forward_submissions = true;
 
   const crypto::CryptoSuite* suite = nullptr;

@@ -83,7 +83,7 @@ TEST(ScenarioMatrix, AsynchronyPresetsStillTerminate) {
 }
 
 TEST(ScenarioMatrix, SmrWorkloadKeepsLogsIdenticalUnderFaults) {
-  // The SMR workload dimension: a pipelined SmrReplica fleet driven
+  // The SMR workload dimension: a pipelined single-group SMR fleet driven
   // through a two-wave client workload (including a cross-replica retry)
   // must end with every correct replica executing the full workload and
   // prefix-consistent slot logs — under crash and churn faults at

@@ -3,10 +3,13 @@
 // group owning its payload bytes and agree per shard across the fleet,
 // (2) produce per-shard logs bit-identical to an S = 1-equivalent plain
 // SmrReplica fleet run with the same leader offset — multiplexing is
-// scheduling, never content, (3) commit cross-shard transactions
-// atomically and reconstruct dtx state from the per-shard WALs after a
-// crash, and (4) keep sibling shards committing while shard 0's leader
-// goes silent (the view change is per group, not fleet-wide).
+// scheduling, never content — and at S = 1 send exactly the plain
+// fleet's frames, (3) commit cross-shard transactions atomically,
+// reconstruct dtx state from the per-shard WALs after a crash, and tell
+// dtx bookkeeping entries from client writes, (4) keep sibling shards
+// committing while shard 0's leader goes silent (the view change is per
+// group, not fleet-wide), and (5) preverify unwrapped S = 1 frames
+// exactly like the single-group extractor.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,10 +19,14 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/verify_pool.hpp"
 #include "net/network.hpp"
 #include "shard/dtx.hpp"
+#include "shard/preverify.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/scenario.hpp"
+#include "smr/preverify.hpp"
+#include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
 
@@ -28,7 +35,10 @@ namespace {
 
 /// n ShardedSmr nodes (each S groups) over the simulated network, with a
 /// DtxCoordinator per node driving off its execution stream — the same
-/// wiring the node binary uses, minus sockets.
+/// wiring the node binary uses, minus sockets. With `verify_pool`, inbound
+/// frames are admitted through an inline core::VerifyPool running
+/// shard::preverify_tasks into a verdict cache the node's groups consume,
+/// as `probft_node --verify-threads` does.
 struct ShardedFleet {
   net::Simulator sim;
   std::unique_ptr<net::Network> net;
@@ -36,11 +46,16 @@ struct ShardedFleet {
   std::vector<crypto::KeyPair> keys;
   std::vector<std::unique_ptr<ShardedSmr>> nodes;       // 1-based
   std::vector<std::unique_ptr<DtxCoordinator>> dtx;     // 1-based
+  std::vector<std::unique_ptr<core::VerifyPool>> pools;  // 1-based, optional
+  /// Replica 1's executed entries, each with whether its dtx tracker
+  /// took it as a dtx entry (the node binary's no-reply rule).
+  std::vector<std::pair<Bytes, bool>> entries_at_1;
 
   ShardedFleet(std::uint32_t n, std::uint32_t shards,
                smr::SmrOptions options = {}, std::uint64_t seed = 1,
                net::LatencyConfig latency = {},
-               const std::vector<std::vector<store::Wal*>>& wals = {}) {
+               const std::vector<std::vector<store::Wal*>>& wals = {},
+               bool verify_pool = false) {
     net = std::make_unique<net::Network>(sim, n, seed, latency);
     suite = crypto::make_sim_suite();
     keys.resize(n + 1);
@@ -52,6 +67,7 @@ struct ShardedFleet {
     const crypto::PublicKeyDir public_keys(std::move(key_table));
     nodes.resize(n + 1);
     dtx.resize(n + 1);
+    pools.resize(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
       ShardedSmrConfig cfg;
       cfg.base.id = id;
@@ -64,9 +80,22 @@ struct ShardedFleet {
       cfg.base.sync.base_timeout = 100'000;
       cfg.map.shard_count = shards;
       if (id < wals.size()) cfg.wals = wals[id];
+      if (verify_pool) {
+        cfg.base.verdicts = std::make_shared<core::VerdictCache>();
+        core::ReplicaConfig rc;
+        rc.n = n;
+        core::PreverifyContext ctx;
+        ctx.n = n;
+        ctx.sample_size = rc.sample_size();
+        ctx.suite = suite.get();
+        ctx.public_keys = public_keys;
+        pools[id] = std::make_unique<core::VerifyPool>(
+            ctx, cfg.base.verdicts, /*threads=*/0, preverify_tasks);
+      }
       cfg.on_execute = [this, id](ShardId s,
                                   const smr::ExecutedCommand& cmd) {
-        if (dtx[id]) dtx[id]->on_execute(s, cmd);
+        const bool dtx_entry = dtx[id] && dtx[id]->on_execute(s, cmd);
+        if (id == 1) entries_at_1.emplace_back(cmd.payload, dtx_entry);
       };
       core::ProtocolHost host;
       host.send = [this, id](ReplicaId to, std::uint8_t tag,
@@ -86,7 +115,15 @@ struct ShardedFleet {
           });
       net->register_handler(
           id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            nodes[id]->on_message(from, tag, m);
+            if (!pools[id]) {
+              nodes[id]->on_message(from, tag, m);
+              return;
+            }
+            pools[id]->submit(from, tag, m);
+            pools[id]->drain(
+                [this, id](ReplicaId src, std::uint8_t t, const Bytes& b) {
+                  nodes[id]->on_message(src, t, b);
+                });
           });
     }
   }
@@ -123,6 +160,71 @@ struct ShardedFleet {
   }
 };
 
+/// n bare smr::SmrReplicas — the unsharded engine — wired like
+/// ShardedFleet minus the service layer, with every group's leader offset
+/// set to `leader_offset`.
+struct PlainFleet {
+  net::Simulator sim;
+  std::unique_ptr<net::Network> net;
+  std::unique_ptr<crypto::CryptoSuite> suite;
+  std::vector<std::unique_ptr<smr::SmrReplica>> replicas;  // 1-based
+
+  PlainFleet(std::uint32_t n, const smr::SmrOptions& options,
+             View leader_offset, std::uint64_t seed,
+             const net::LatencyConfig& latency) {
+    net = std::make_unique<net::Network>(sim, n, seed, latency);
+    suite = crypto::make_sim_suite();
+    std::vector<crypto::KeyPair> keys(n + 1);
+    std::vector<Bytes> key_table(n + 1);
+    for (ReplicaId id = 1; id <= n; ++id) {
+      keys[id] = suite->keygen(mix64(seed, id));
+      key_table[id] = keys[id].public_key;
+    }
+    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    replicas.resize(n + 1);
+    for (ReplicaId id = 1; id <= n; ++id) {
+      smr::SmrConfig cfg;
+      cfg.id = id;
+      cfg.n = n;
+      cfg.f = 0;
+      cfg.pipeline = options;
+      cfg.leader_offset = leader_offset;
+      cfg.suite = suite.get();
+      cfg.secret_key = keys[id].secret_key;
+      cfg.public_keys = public_keys;
+      cfg.sync.base_timeout = 100'000;
+      core::ProtocolHost host;
+      host.send = [this, id](ReplicaId to, std::uint8_t tag,
+                             const Bytes& m) {
+        net->send(id, to, tag, m);
+      };
+      host.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
+        net->broadcast(id, tag, m);
+      };
+      host.set_timer = [this](Duration d, std::function<void()> fn) {
+        sim.schedule_after(d, std::move(fn));
+      };
+      replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
+      net->register_handler(
+          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+            replicas[id]->on_message(from, tag, m);
+          });
+    }
+  }
+
+  void start_all() {
+    for (std::size_t id = 1; id < replicas.size(); ++id) {
+      replicas[id]->start();
+    }
+  }
+};
+
+/// Steps `sim` until virtual time `until` (or until it idles).
+void run_to(net::Simulator& sim, TimePoint until) {
+  while (sim.now() < until && sim.step()) {
+  }
+}
+
 Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
                   const std::string& stem) {
   std::vector<Bytes> keys;
@@ -145,28 +247,34 @@ Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
 
 // Requests submitted at ONE node must land in the group owning their
 // payload bytes — on every node — and sibling groups' logs must agree
-// fleet-wide.
+// fleet-wide, whether frames are admitted inline or through a verify
+// pool. (The pool once checked every Prepare/Commit leader signature
+// against shard 0's leader schedule, poisoning the shared cache so that
+// every other shard stalled.)
 TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
   const std::uint32_t n = 4, shards = 4;
   const std::uint64_t commands = 24;
-  ShardedFleet fleet(n, shards);
-  const Placement& placement = fleet.nodes[1]->placement();
-  std::map<ShardId, std::uint64_t> owned;
-  for (std::uint64_t i = 1; i <= commands; ++i) {
-    Bytes payload = to_bytes("op-" + std::to_string(i));
-    ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
-    ASSERT_TRUE(
-        fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
-  }
-  fleet.start_all();
-  ASSERT_TRUE(fleet.run_until_executed(commands));
-  for (ShardId s = 0; s < shards; ++s) {
-    for (ReplicaId id = 1; id <= n; ++id) {
-      EXPECT_EQ(fleet.nodes[id]->group(s).executed_commands(), owned[s])
-          << "replica " << id << " shard " << s;
+  for (const bool verify_pool : {false, true}) {
+    SCOPED_TRACE(verify_pool ? "verify pool" : "inline");
+    ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {}, verify_pool);
+    const Placement& placement = fleet.nodes[1]->placement();
+    std::map<ShardId, std::uint64_t> owned;
+    for (std::uint64_t i = 1; i <= commands; ++i) {
+      Bytes payload = to_bytes("op-" + std::to_string(i));
+      ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
+      ASSERT_TRUE(
+          fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
     }
+    fleet.start_all();
+    ASSERT_TRUE(fleet.run_until_executed(commands));
+    for (ShardId s = 0; s < shards; ++s) {
+      for (ReplicaId id = 1; id <= n; ++id) {
+        EXPECT_EQ(fleet.nodes[id]->group(s).executed_commands(), owned[s])
+            << "replica " << id << " shard " << s;
+      }
+    }
+    fleet.expect_per_shard_agreement();
   }
-  fleet.expect_per_shard_agreement();
 }
 
 // The acceptance-bar bit-identity property: each shard's log under the
@@ -176,87 +284,110 @@ TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
 // every link FIFO, so arrival order — and therefore log content — is
 // submission order in both runs; the multiplexer may interleave
 // scheduling but must never perturb content.
+//
+// At S = 1 the service IS the plain engine on the wire, so the claim is
+// stronger: on the same seed both fleets send the same frames, tag for
+// tag and byte for byte. That case enters at a non-leader (the engine's
+// own kSmrForwardTag path) with the read path on, so lease renewals and
+// a read-index round from a follower's linearizable read are covered.
 TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
-  const std::uint32_t n = 4, shards = 2;
+  struct Case {
+    std::uint32_t shards;
+    ReplicaId entry;
+    bool serve_reads;
+  };
+  const std::uint32_t n = 4;
   const std::uint64_t commands = 16;
+  const TimePoint horizon = 3'000'000;  // S = 1: both fleets, past the reads
   net::LatencyConfig fifo;
   fifo.min_delay = 1'000;
   fifo.max_delay_post = 1'000;  // zero jitter: per-link FIFO delivery
 
-  smr::SmrOptions options;
-  options.batch_max_commands = 1;  // one slot per command: log = arrivals
+  for (const Case c : {Case{2, 1, false}, Case{1, 2, true}}) {
+    SCOPED_TRACE("shards=" + std::to_string(c.shards));
+    smr::SmrOptions options;
+    options.batch_max_commands = 1;  // one slot per command: log = arrivals
+    options.serve_reads = c.serve_reads;
+    options.lease_duration = 100'000;  // scaled to the 100 ms view timer
+    options.lease_skew = 25'000;
+    const Bytes read_key = to_bytes("op-1");
 
-  ShardedFleet fleet(n, shards, options, /*seed=*/1, fifo);
-  const ShardMap map = fleet.nodes[1]->placement().map();
-  std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> slice(shards);
-  for (std::uint64_t i = 1; i <= commands; ++i) {
-    Bytes payload = to_bytes("op-" + std::to_string(i));
-    const ShardId s =
-        shard_of(map, ByteSpan(payload.data(), payload.size()));
-    slice[s].emplace_back(9000 + i, payload);
-    ASSERT_TRUE(
-        fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
-  }
-  fleet.start_all();
-  ASSERT_TRUE(fleet.run_until_executed(commands));
-  fleet.expect_per_shard_agreement();
+    ShardedFleet fleet(n, c.shards, options, /*seed=*/1, fifo);
+    const ShardMap map = fleet.nodes[1]->placement().map();
+    std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> slice(
+        c.shards);
+    for (std::uint64_t i = 1; i <= commands; ++i) {
+      Bytes payload = to_bytes("op-" + std::to_string(i));
+      const ShardId s =
+          shard_of(map, ByteSpan(payload.data(), payload.size()));
+      slice[s].emplace_back(9000 + i, payload);
+      ASSERT_TRUE(fleet.nodes[c.entry]->submit_request(9000 + i, 1,
+                                                       std::move(payload)));
+    }
+    net::ReplyStatus sharded_read = net::ReplyStatus::kRejected;
+    if (c.serve_reads) {
+      fleet.sim.schedule_after(1'000'000, [&fleet, &read_key,
+                                           &sharded_read] {
+        fleet.nodes[3]->submit_read(
+            read_key, net::ReadConsistency::kLinearizable, 0,
+            [&sharded_read](const smr::SmrReplica::ReadResult& r) {
+              sharded_read = r.status;
+            });
+      });
+    }
+    fleet.start_all();
+    ASSERT_TRUE(fleet.run_until_executed(commands));
+    if (c.shards == 1) run_to(fleet.sim, horizon);
+    fleet.expect_per_shard_agreement();
 
-  for (ShardId s = 0; s < shards; ++s) {
-    // S = 1-equivalent: a plain fleet with this group's leader offset,
-    // fed only this shard's commands in the same relative order.
-    net::Simulator sim;
-    net::Network plain_net(sim, n, /*seed=*/1, fifo);
-    const auto suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(1, id));
-      key_table[id] = keys[id].public_key;
+    for (ShardId s = 0; s < c.shards; ++s) {
+      // S = 1-equivalent: a plain fleet with this group's leader offset,
+      // fed only this shard's commands in the same relative order.
+      PlainFleet plain(n, options, /*leader_offset=*/s, /*seed=*/1, fifo);
+      for (const auto& [client, payload] : slice[s]) {
+        ASSERT_TRUE(
+            plain.replicas[c.entry]->submit_request(client, 1, payload));
+      }
+      net::ReplyStatus plain_read = net::ReplyStatus::kRejected;
+      if (c.serve_reads) {
+        plain.sim.schedule_after(1'000'000, [&plain, &read_key,
+                                             &plain_read] {
+          plain.replicas[3]->submit_read(
+              read_key, net::ReadConsistency::kLinearizable, 0,
+              [&plain_read](const smr::SmrReplica::ReadResult& r) {
+                plain_read = r.status;
+              });
+        });
+      }
+      plain.start_all();
+      if (c.shards == 1) {
+        run_to(plain.sim, horizon);
+      } else {
+        while (plain.sim.now() < 120'000'000 &&
+               plain.replicas[1]->executed_commands() < slice[s].size()) {
+          if (!plain.sim.step()) break;
+        }
+      }
+      ASSERT_GE(plain.replicas[1]->executed_commands(), slice[s].size())
+          << "plain fleet for shard " << s << " did not finish";
+      EXPECT_EQ(fleet.nodes[1]->log_digest(s), plain.replicas[1]->log_digest())
+          << "shard " << s
+          << ": multiplexed log diverged from the single-group fleet";
+      if (c.shards > 1) continue;
+
+      const net::TransportStats& got = fleet.net->stats();
+      const net::TransportStats& want = plain.net->stats();
+      EXPECT_EQ(got.sends_by_tag, want.sends_by_tag);
+      EXPECT_EQ(got.bytes_by_tag, want.bytes_by_tag);
+      EXPECT_EQ(got.sends_for(kShardTag) + got.sends_for(kShardForwardTag),
+                0u);
+      // The paths this case exists for really ran.
+      EXPECT_GT(want.sends_for(smr::kSmrForwardTag), 0u);
+      EXPECT_GT(want.sends_for(smr::kSmrLeaseTag), 0u);
+      EXPECT_GT(want.sends_for(smr::kSmrReadIndexTag), 0u);
+      EXPECT_EQ(sharded_read, net::ReplyStatus::kExecuted);
+      EXPECT_EQ(plain_read, net::ReplyStatus::kExecuted);
     }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      smr::SmrConfig cfg;
-      cfg.id = id;
-      cfg.n = n;
-      cfg.f = 0;
-      cfg.pipeline = options;
-      cfg.leader_offset = s;
-      cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
-      cfg.sync.base_timeout = 100'000;
-      core::ProtocolHost host;
-      host.send = [&plain_net, id](ReplicaId to, std::uint8_t tag,
-                                   const Bytes& m) {
-        plain_net.send(id, to, tag, m);
-      };
-      host.broadcast = [&plain_net, id](std::uint8_t tag, const Bytes& m) {
-        plain_net.broadcast(id, tag, m);
-      };
-      host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
-      plain_net.register_handler(
-          id, [&replicas, id](ReplicaId from, std::uint8_t tag,
-                              const Bytes& m) {
-            replicas[id]->on_message(from, tag, m);
-          });
-    }
-    for (const auto& [client, payload] : slice[s]) {
-      ASSERT_TRUE(replicas[1]->submit_request(client, 1, payload));
-    }
-    for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
-    while (sim.now() < 120'000'000 &&
-           replicas[1]->executed_commands() < slice[s].size()) {
-      if (!sim.step()) break;
-    }
-    ASSERT_GE(replicas[1]->executed_commands(), slice[s].size())
-        << "plain fleet for shard " << s << " did not finish";
-    EXPECT_EQ(fleet.nodes[1]->log_digest(s), replicas[1]->log_digest())
-        << "shard " << s
-        << ": multiplexed log diverged from the single-group fleet";
   }
 }
 
@@ -359,6 +490,35 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
   std::filesystem::remove_all(root);
 }
 
+// Only real BEGIN/PREPARE/DECIDE/APPLY entries are dtx bookkeeping. The
+// node binary skips the client reply for exactly those, so an ordinary
+// write that happens to start with "DX" must not be classified as one
+// (it used to be matched by its 2-byte prefix and never answered). At
+// S = 1 a "DTX1" request is a one-participant transaction: 2 + 2 entries.
+TEST(ShardedSmr, DtxOnExecuteClassifiesOnlyRealDtxEntries) {
+  ShardedFleet fleet(/*n=*/4, /*shards=*/1);
+  ASSERT_TRUE(fleet.nodes[1]->submit_request(9001, 1, to_bytes("DXfoo=1")));
+  fleet.start_all();
+  ASSERT_TRUE(fleet.dtx[1]->submit(
+      88'000, 1, dtx_payload(fleet.nodes[1]->placement().map(), 1, "dtx")));
+  ASSERT_TRUE(fleet.run_until_executed(1 + 4));
+  EXPECT_EQ(fleet.dtx[1]->committed(), 1u);
+
+  std::map<std::string, int> dtx_entries;
+  for (const auto& [payload, dtx_entry] : fleet.entries_at_1) {
+    const std::string text(payload.begin(), payload.end());
+    if (text == "DXfoo=1") {
+      EXPECT_FALSE(dtx_entry) << "a client write was taken for a dtx entry";
+      continue;
+    }
+    EXPECT_TRUE(dtx_entry) << "unclassified entry " << text.substr(0, 4);
+    ++dtx_entries[text.substr(0, 4)];
+  }
+  EXPECT_EQ(dtx_entries, (std::map<std::string, int>{
+                             {"DXA1", 1}, {"DXB1", 1}, {"DXD1", 1},
+                             {"DXP1", 1}}));
+}
+
 // Regression for the silent shard-0 leader: dropping every shard-0 frame
 // from that group's view-1 leader must stall only group 0 (until its view
 // change passes the leader by) — sibling shards share the node's
@@ -382,6 +542,53 @@ TEST(ShardedSmr, SilentShardZeroLeaderDoesNotStallSiblingShards) {
       << outcome.decided << "/" << outcome.correct << "\n"
       << outcome.transcript;
   EXPECT_TRUE(outcome.agreement);
+}
+
+// One extractor for every S: an unwrapped kSmrTag frame (the S = 1 wire)
+// yields exactly the tasks the single-group extractor yields.
+TEST(ShardedSmrPreverify, PlainSmrFrameMatchesSingleGroupExtractor) {
+  ShardedFleet fleet(/*n=*/4, /*shards=*/1);
+  std::vector<Bytes> frames;
+  fleet.net->set_payload_filter(
+      [&frames](ReplicaId, ReplicaId, std::uint8_t tag, const Bytes& m) {
+        if (tag == smr::kSmrTag) frames.push_back(m);
+        return false;
+      });
+  ASSERT_TRUE(fleet.nodes[1]->submit_request(9001, 1, to_bytes("op-1")));
+  fleet.start_all();
+  ASSERT_TRUE(fleet.run_until_executed(1));
+  ASSERT_FALSE(frames.empty());
+
+  core::ReplicaConfig rc;
+  rc.n = 4;
+  rc.f = 0;
+  core::PreverifyContext ctx;
+  ctx.n = 4;
+  ctx.sample_size = rc.sample_size();
+  ctx.suite = fleet.suite.get();
+  std::vector<Bytes> key_table(5);
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    key_table[id] = fleet.keys[id].public_key;
+  }
+  ctx.public_keys = crypto::PublicKeyDir(std::move(key_table));
+
+  std::size_t tasks = 0;
+  for (const Bytes& frame : frames) {
+    const auto want = smr::preverify_tasks(ctx, smr::kSmrTag, frame);
+    const auto got = shard::preverify_tasks(ctx, smr::kSmrTag, frame);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].kind, want[i].kind);
+      EXPECT_EQ(got[i].key, want[i].key);
+      EXPECT_EQ(got[i].signer, want[i].signer);
+      EXPECT_EQ(got[i].message, want[i].message);
+      EXPECT_EQ(got[i].signature, want[i].signature);
+      EXPECT_EQ(got[i].tag, want[i].tag);
+      EXPECT_EQ(got[i].leader, want[i].leader);
+    }
+    tasks += got.size();
+  }
+  EXPECT_GT(tasks, 0u) << "no frame carried a signature to preverify";
 }
 
 }  // namespace
