@@ -3,7 +3,7 @@
 // serial single-command engine as the baseline row (W = 1, batch = 1
 // reproduces the old open-one-slot-at-a-time loop).
 //
-// A fleet of SmrReplicas runs on the deterministic simulator network;
+// A sim::SmrFleet (S = 1) runs on the deterministic simulator network;
 // the workload (256 requests from one client) is preloaded at the
 // round-robin leader, so the measured time is the engine's, not the
 // arrival process's. Reported per row: virtual-time throughput, speedup
@@ -40,9 +40,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/verify_pool.hpp"
-#include "net/network.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/preverify.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
@@ -64,98 +63,44 @@ struct FleetRun {
 FleetRun run_fleet(std::uint32_t n, smr::SmrOptions options,
                    std::uint64_t commands, std::uint64_t seed,
                    store::Wal* leader_wal = nullptr) {
-  net::Simulator sim;
-  net::LatencyConfig latency;  // defaults: synchronous, 1–10 ms delays
-  net::Network network(sim, n, seed, latency);
-  const auto suite = crypto::make_sim_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
-
-  std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
+  sim::SmrFleetConfig cfg;  // default latency: synchronous, 1–10 ms delays
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.options = options;
+  if (leader_wal != nullptr) cfg.wals = {{}, {leader_wal}};
+  sim::SmrFleet fleet(std::move(cfg));
   FleetRun run;
   run.exec_at.resize(commands, 0);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    smr::SmrConfig cfg;
-    cfg.id = id;
-    cfg.n = n;
-    cfg.f = 0;
-    cfg.pipeline = options;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[id].secret_key;
-    cfg.public_keys = public_keys;
-    cfg.sync.base_timeout = 100'000;
-    if (id == 1) cfg.wal = leader_wal;
-    core::ProtocolHost host;
-    host.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                               const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    host.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    host.on_commit = [&run, &sim, id](std::uint64_t index, const Bytes&) {
-      if (id == 1 && index < run.exec_at.size()) {
-        run.exec_at[index] = sim.now();
-      }
-    };
-    replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
-    network.register_handler(
-        id, [&replicas, id](ReplicaId from, std::uint8_t tag,
-                            const Bytes& m) {
-          replicas[id]->on_message(from, tag, m);
-        });
-  }
+  fleet.set_on_execute([&run, &fleet](ReplicaId id, shard::ShardId,
+                                      const smr::ExecutedCommand& cmd) {
+    if (id == 1 && cmd.index < run.exec_at.size()) {
+      run.exec_at[cmd.index] = fleet.simulator().now();
+    }
+  });
 
   // Preloaded single-client workload at the leader.
   for (std::uint64_t i = 1; i <= commands; ++i) {
-    (void)replicas[1]->submit_request(9001, i,
-                                      to_bytes("op-" + std::to_string(i)));
+    (void)fleet.node(1).submit_request(9001, i,
+                                       to_bytes("op-" + std::to_string(i)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
+  fleet.start();
 
   // A replica is done once its execution count covers the workload —
   // whether it executed every command itself or jumped ahead through a
   // certified state transfer (which installs exec_count without replaying
-  // the truncated commands, so counting on_commit calls undercounts).
+  // the truncated commands, so counting executions undercounts).
   const auto t0 = std::chrono::steady_clock::now();
-  while (sim.now() < 600'000'000) {
-    bool all = true;
-    for (ReplicaId id = 1; id <= n; ++id) {
-      if (replicas[id]->executed_commands() < commands) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      run.completed = true;
-      run.all_done = sim.now();
-      break;
-    }
-    if (!sim.step()) break;
-  }
+  run.completed = fleet.run_until_executed(commands, 600'000'000);
+  if (run.completed) run.all_done = fleet.simulator().now();
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
   // Chained log digest, not a digest of the retained slot window: stable
   // checkpoints truncate slot_log() at replica-dependent times, so only
   // the truncation-invariant chain identifies "same history".
-  run.identical = true;
-  for (ReplicaId id = 2; id <= n; ++id) {
-    if (replicas[id]->log_digest() != replicas[1]->log_digest()) {
-      run.identical = false;
-    }
-  }
-  run.slots = replicas[1]->committed_slots();
-  run.digest = replicas[1]->log_digest();
+  run.identical = fleet.logs_agree();
+  run.slots = fleet.node(1).committed_slots();
+  run.digest = fleet.node(1).group(0).log_digest();
   return run;
 }
 
@@ -308,78 +253,35 @@ struct RecordedTrace {
 RecordedTrace record_trace(std::uint32_t n, smr::SmrOptions options,
                            std::uint64_t commands, std::uint64_t seed,
                            ReplicaId target) {
-  net::Simulator sim;
-  net::LatencyConfig latency;
-  net::Network network(sim, n, seed, latency);
   const auto suite = crypto::make_ed25519_suite();
-
-  std::vector<crypto::KeyPair> keys(n + 1);
-  std::vector<Bytes> key_table(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
+  sim::SmrFleetConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.suite = suite.get();
+  cfg.options = options;
+  sim::SmrFleet fleet(std::move(cfg));
 
   RecordedTrace trace;
   trace.n = n;
   trace.seed = seed;
   trace.target = target;
   trace.options = options;
-
-  std::vector<std::unique_ptr<smr::SmrReplica>> replicas(n + 1);
-  for (ReplicaId id = 1; id <= n; ++id) {
-    smr::SmrConfig cfg;
-    cfg.id = id;
-    cfg.n = n;
-    cfg.f = 0;
-    cfg.pipeline = options;
-    cfg.suite = suite.get();
-    cfg.secret_key = keys[id].secret_key;
-    cfg.public_keys = public_keys;
-    cfg.sync.base_timeout = 100'000;
-    core::ProtocolHost host;
-    host.send = [&network, id](ReplicaId to, std::uint8_t tag,
-                               const Bytes& m) {
-      network.send(id, to, tag, m);
-    };
-    host.broadcast = [&network, id](std::uint8_t tag, const Bytes& m) {
-      network.broadcast(id, tag, m);
-    };
-    host.set_timer = [&sim](Duration d, std::function<void()> fn) {
-      sim.schedule_after(d, std::move(fn));
-    };
-    replicas[id] = std::make_unique<smr::SmrReplica>(std::move(cfg), host);
-    network.register_handler(
-        id, [&replicas, &trace, id, target](ReplicaId from, std::uint8_t tag,
-                                            const Bytes& m) {
-          if (id == target) trace.inbound.push_back({from, tag, m});
-          replicas[id]->on_message(from, tag, m);
-        });
-  }
+  // Tap the follower's inbound wire traffic on its way into the node.
+  fleet.network().register_handler(
+      target, [&fleet, &trace, target](ReplicaId from, std::uint8_t tag,
+                                       const Bytes& m) {
+        trace.inbound.push_back({from, tag, m});
+        fleet.node(target).on_message(from, tag, m);
+      });
 
   for (std::uint64_t i = 1; i <= commands; ++i) {
-    (void)replicas[1]->submit_request(9001, i,
-                                      to_bytes("op-" + std::to_string(i)));
+    (void)fleet.node(1).submit_request(9001, i,
+                                       to_bytes("op-" + std::to_string(i)));
   }
-  for (ReplicaId id = 1; id <= n; ++id) replicas[id]->start();
-
-  while (sim.now() < 600'000'000) {
-    bool all = true;
-    for (ReplicaId id = 1; id <= n; ++id) {
-      if (replicas[id]->executed_commands() < commands) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      trace.completed = true;
-      break;
-    }
-    if (!sim.step()) break;
-  }
-  trace.digest = replicas[target]->log_digest();
-  trace.executed = replicas[target]->executed_commands();
+  fleet.start();
+  trace.completed = fleet.run_until_executed(commands, 600'000'000);
+  trace.digest = fleet.node(target).group(0).log_digest();
+  trace.executed = fleet.node(target).executed_commands();
   return trace;
 }
 
@@ -404,13 +306,7 @@ struct ReplayResult {
 
 ReplayResult replay_trace(const RecordedTrace& trace, unsigned threads) {
   const auto suite = crypto::make_ed25519_suite();
-  std::vector<crypto::KeyPair> keys(trace.n + 1);
-  std::vector<Bytes> key_table(trace.n + 1);
-  for (ReplicaId id = 1; id <= trace.n; ++id) {
-    keys[id] = suite->keygen(mix64(trace.seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
+  const sim::DerivedKeys keys = sim::derive_keys(*suite, trace.n, trace.seed);
 
   auto cache = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
   smr::SmrConfig cfg;
@@ -419,8 +315,8 @@ ReplayResult replay_trace(const RecordedTrace& trace, unsigned threads) {
   cfg.f = 0;
   cfg.pipeline = trace.options;
   cfg.suite = suite.get();
-  cfg.secret_key = keys[trace.target].secret_key;
-  cfg.public_keys = public_keys;
+  cfg.secret_key = keys.pairs[trace.target].secret_key;
+  cfg.public_keys = keys.public_keys;
   cfg.verdicts = cache;
   cfg.sync.base_timeout = 100'000;
   core::ProtocolHost host;  // outbound traffic goes nowhere: pure follower
@@ -438,7 +334,7 @@ ReplayResult replay_trace(const RecordedTrace& trace, unsigned threads) {
   }
   ctx.n = trace.n;
   ctx.suite = suite.get();
-  ctx.public_keys = public_keys;
+  ctx.public_keys = keys.public_keys;
   core::VerifyPool pool(ctx, cache, threads, smr::preverify_tasks);
   pool.record_latencies(true);
 
@@ -615,20 +511,15 @@ int emit_json(const std::string& path, std::uint32_t n,
     // whole cold path — segment scan + snapshot verification + replay.
     // Same deterministic key material run_fleet derives for seed 1.
     const auto suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(rec_n + 1);
-    std::vector<Bytes> key_table(rec_n + 1);
-    for (ReplicaId id = 1; id <= rec_n; ++id) {
-      keys[id] = suite->keygen(mix64(1, id));
-      key_table[id] = keys[id].public_key;
-    }
+    sim::DerivedKeys keys = sim::derive_keys(*suite, rec_n, 1);
     smr::SmrConfig cfg;
     cfg.id = 1;
     cfg.n = rec_n;
     cfg.f = 0;
     cfg.pipeline = durable_opts;
     cfg.suite = suite.get();
-    cfg.secret_key = keys[1].secret_key;
-    cfg.public_keys = crypto::PublicKeyDir(std::move(key_table));
+    cfg.secret_key = keys.pairs[1].secret_key;
+    cfg.public_keys = std::move(keys.public_keys);
     cfg.sync.base_timeout = 100'000;
     core::ProtocolHost host;
     host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};

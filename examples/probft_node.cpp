@@ -65,7 +65,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/verify_pool.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
@@ -74,7 +73,6 @@
 #include "shard/sharded_smr.hpp"
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
-#include "smr/executor.hpp"
 #include "store/wal.hpp"
 
 namespace {
@@ -112,8 +110,6 @@ struct Options {
   /// Signature-verification worker threads feeding a shared verdict
   /// cache; 0 = verify inline on the network thread (single-threaded).
   std::uint32_t verify_threads = 0;
-  /// Move client-reply serialization onto a dedicated executor thread.
-  bool exec_offload = false;
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
   /// client port. Off by default: reads cost lease renewal broadcasts.
@@ -143,8 +139,7 @@ void usage() {
       "                   [--expect-cmds N] [--window W] [--batch B]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
       "                   [--fsync BOOL] [--verify-threads N]\n"
-      "                   [--exec-offload BOOL] [--shards S]\n"
-      "                   [--reads BOOL]\n");
+      "                   [--shards S] [--reads BOOL]\n");
 }
 
 std::uint64_t parse_u64(const std::string& text) {
@@ -240,8 +235,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.fsync = parse_bool(value);
     } else if (key == "--verify-threads") {
       opt.verify_threads = static_cast<std::uint32_t>(parse_u64(value));
-    } else if (key == "--exec-offload") {
-      opt.exec_offload = parse_bool(value);
     } else if (key == "--reads") {
       opt.reads = parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
@@ -366,12 +359,6 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
     }
   }
 
-  // Reply-serialization offload (--exec-offload): the encode runs on the
-  // executor thread, and the resulting frame re-enters the loop thread
-  // via transport.post() — send_to_client itself is loop-thread-only.
-  std::unique_ptr<smr::AsyncExecutor> executor;
-  if (opt.exec_offload) executor = std::make_unique<smr::AsyncExecutor>();
-
   std::unique_ptr<shard::ShardedSmr> node;
   std::unique_ptr<shard::DtxCoordinator> dtx;
 
@@ -381,23 +368,13 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> waiting;
   std::map<std::uint64_t, net::ClientReply> last_reply;
 
-  smr::AsyncExecutor* exec = executor.get();
-  const auto route_reply = [&transport, &waiting, &last_reply,
-                            exec](const net::ClientReply& reply) {
+  const auto route_reply = [&transport, &waiting,
+                            &last_reply](const net::ClientReply& reply) {
     const auto it = waiting.find({reply.client_id, reply.seq});
     if (it != waiting.end()) {
-      const std::uint64_t conn = it->second;
+      transport.send_to_client(it->second, net::kClientReplyTag,
+                               reply.encode());
       waiting.erase(it);
-      if (exec != nullptr) {
-        exec->run_or_submit([&transport, conn, reply] {
-          Bytes frame = reply.encode();
-          transport.post([&transport, conn, frame = std::move(frame)] {
-            transport.send_to_client(conn, net::kClientReplyTag, frame);
-          });
-        });
-      } else {
-        transport.send_to_client(conn, net::kClientReplyTag, reply.encode());
-      }
     }
     last_reply[reply.client_id] = reply;
   };
@@ -656,16 +633,10 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::uint32_t>(opt.peers.size());
 
   // Deterministic cluster-wide key material, same derivation as the
-  // simulator: replica i's keypair is keygen(mix64(seed, i)).
+  // simulator (sim::derive_keys).
   const auto suite = opt.suite == "ed25519" ? crypto::make_ed25519_suite()
                                             : crypto::make_sim_suite();
-  std::vector<Bytes> key_table(n + 1);
-  Bytes secret_key;
-  for (ReplicaId id = 1; id <= n; ++id) {
-    auto keys = suite->keygen(mix64(opt.seed, id));
-    key_table[id] = std::move(keys.public_key);
-    if (id == opt.id) secret_key = std::move(keys.secret_key);
-  }
+  sim::DerivedKeys keys = sim::derive_keys(*suite, n, opt.seed);
 
   net::TcpTransportConfig tc;
   tc.self = opt.id;
@@ -701,8 +672,8 @@ int main(int argc, char** argv) {
                         ? sim::default_node_value({}, opt.id)
                         : opt.value;
   params.suite = suite.get();
-  params.secret_key = secret_key;
-  params.public_keys = crypto::PublicKeyDir(std::move(key_table));
+  params.secret_key = std::move(keys.pairs[opt.id].secret_key);
+  params.public_keys = std::move(keys.public_keys);
   // Real clusters need the first view to survive process startup and
   // connection establishment (dial retries run at 100 ms), so the view-1
   // timer is generous compared to the simulator's 100 ms default.

@@ -57,7 +57,7 @@
 # to the same committed/aborted counts with nothing in flight.
 #
 # NODE_EXTRA_FLAGS appends extra probft_node flags to every node in any
-# mode — e.g. NODE_EXTRA_FLAGS="--verify-threads 2 --exec-offload 1" runs
+# mode — e.g. NODE_EXTRA_FLAGS="--verify-threads 2" runs
 # the cluster multi-core (the TSan CI job does exactly that).
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml

@@ -11,6 +11,7 @@
 // CodecError, so protocol code can treat any Byzantine-crafted buffer safely.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -31,14 +32,14 @@ class CodecError : public std::runtime_error {
 
 class Writer {
  public:
-  Writer() = default;
-
   template <typename T>
     requires std::is_unsigned_v<T>
   void u(T value) {
+    std::uint8_t le[sizeof(T)] = {};
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
+    raw(ByteSpan(le, sizeof(T)));
   }
 
   void u8(std::uint8_t v) { u<std::uint8_t>(v); }
@@ -51,11 +52,17 @@ class Writer {
   /// Length-prefixed byte string.
   void bytes(ByteSpan data) {
     u32(static_cast<std::uint32_t>(data.size()));
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    raw(data);
   }
 
-  /// Raw bytes, no length prefix (for fixed-size fields).
-  void raw(ByteSpan data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+  /// Raw bytes, no length prefix (for fixed-size fields). Grows before the
+  /// insert so it never reallocates: gcc 12 -O3 misreads that path.
+  void raw(ByteSpan data) {
+    if (buf_.capacity() - buf_.size() < data.size()) {
+      buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + data.size()));
+    }
+    buf_.insert(buf_.end(), data.data(), data.data() + data.size());
+  }
 
   void str(std::string_view s) {
     bytes(ByteSpan(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));

@@ -89,7 +89,6 @@ class Network final : public ITransport {
   void set_payload_filter(PayloadFilter filter) {
     payload_filter_ = std::move(filter);
   }
-  void clear_payload_filter() { payload_filter_ = nullptr; }
 
   [[nodiscard]] std::uint32_t size() const override { return n_; }
   [[nodiscard]] const LatencyConfig& config() const { return config_; }

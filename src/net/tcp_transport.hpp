@@ -170,7 +170,7 @@ class TcpTransport final : public ITransport {
 
   /// Thread-safe: schedules `fn` to run on the loop thread at the top of
   /// its next iteration and wakes the loop if it is parked in poll(2).
-  /// This is how worker threads (verify pool, executor) re-enter the
+  /// This is how worker threads (the verify pool) re-enter the
   /// single-threaded protocol world; everything else on this class stays
   /// loop-thread-only.
   void post(std::function<void()> fn) PROBFT_EXCLUDES(posted_mu_);

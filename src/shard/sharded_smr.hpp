@@ -129,9 +129,6 @@ class ShardedSmr : public core::INode {
   [[nodiscard]] const smr::SmrReplica& group(ShardId s) const {
     return *groups_.at(s);
   }
-  [[nodiscard]] std::string log_digest(ShardId s) const {
-    return groups_.at(s)->log_digest();
-  }
   /// Aggregate executed commands across all groups.
   [[nodiscard]] std::uint64_t executed_commands() const;
   /// Aggregate committed (executed) slots across all groups.

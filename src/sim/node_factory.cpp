@@ -1,9 +1,23 @@
 #include "sim/node_factory.hpp"
 
+#include "common/rng.hpp"
 #include "hotstuff/hotstuff_replica.hpp"
 #include "pbft/pbft_replica.hpp"
 
 namespace probft::sim {
+
+DerivedKeys derive_keys(const crypto::CryptoSuite& suite, std::uint32_t n,
+                        std::uint64_t seed) {
+  DerivedKeys keys;
+  keys.pairs.resize(n + 1);
+  std::vector<Bytes> table(n + 1);
+  for (ReplicaId id = 1; id <= n; ++id) {
+    keys.pairs[id] = suite.keygen(mix64(seed, id));
+    table[id] = keys.pairs[id].public_key;
+  }
+  keys.public_keys = crypto::PublicKeyDir(std::move(table));
+  return keys;
+}
 
 std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
                                               core::ProtocolHost host) {

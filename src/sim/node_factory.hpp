@@ -56,6 +56,16 @@ struct NodeParams {
   std::function<void(const smr::ExecutedCommand&)> on_execute;
 };
 
+/// Replica id's keypair is suite.keygen(mix64(seed, id)) in the simulator,
+/// the TCP runners and the node binary alike. Both tables are 1-based; all
+/// configs share the one key directory (copying the handle, not n keys).
+struct DerivedKeys {
+  std::vector<crypto::KeyPair> pairs;
+  crypto::PublicKeyDir public_keys;
+};
+[[nodiscard]] DerivedKeys derive_keys(const crypto::CryptoSuite& suite,
+                                      std::uint32_t n, std::uint64_t seed);
+
 /// Builds an honest replica of the requested protocol against `host`.
 [[nodiscard]] std::unique_ptr<core::INode> make_honest_node(
     const NodeParams& params, core::ProtocolHost host);
@@ -66,10 +76,8 @@ struct NodeParams {
 /// shard::ShardedSmr.
 [[nodiscard]] smr::SmrConfig smr_config(const NodeParams& params);
 
-/// Builds a pipelined SMR replica (ProBFT-backed log) against `host`,
-/// using the same key/suite/sync plumbing as the single-shot factory —
-/// `params.protocol` and `params.my_value` are ignored. Both deployment
-/// worlds (sim fleets, the TCP node binary) construct SMR nodes here.
+/// Builds a bare pipelined SMR replica (ProBFT-backed log) against
+/// `host` from smr_config(params).
 [[nodiscard]] std::unique_ptr<smr::SmrReplica> make_smr_node(
     const NodeParams& params, core::ProtocolHost host);
 

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "common/codec.hpp"
-#include "shard/sharded_smr.hpp"
+#include "sim/smr_fleet.hpp"
 #include "store/wal.hpp"
 
 namespace probft::sim {
@@ -15,11 +15,6 @@ namespace probft::sim {
 bool ScenarioResult::all_agreement() const {
   return std::all_of(outcomes.begin(), outcomes.end(),
                      [](const ScenarioOutcome& o) { return o.agreement; });
-}
-
-bool ScenarioResult::all_terminated() const {
-  return std::all_of(outcomes.begin(), outcomes.end(),
-                     [](const ScenarioOutcome& o) { return o.terminated; });
 }
 
 const char* to_string(Protocol protocol) {
@@ -249,7 +244,6 @@ ClusterConfig make_cluster_config(const ScenarioSpec& spec,
   cfg.l = spec.l;
   cfg.seed = seed;
   cfg.latency = make_latency_config(spec.latency);
-  cfg.smr = spec.smr;
   cfg.behaviors.assign(spec.n, Behavior::kHonest);
 
   switch (spec.fault) {
@@ -415,19 +409,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
 
 ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                  std::uint64_t seed) {
-  const ClusterConfig cfg = make_cluster_config(spec, seed);
-  net::Simulator sim;
-  net::Network network(sim, spec.n, seed, cfg.latency);
-  const auto suite = crypto::make_sim_suite();
   const std::uint32_t shards = spec.shards;
-
-  std::vector<crypto::KeyPair> keys(spec.n + 1);
-  std::vector<Bytes> key_table(spec.n + 1);
-  for (ReplicaId id = 1; id <= spec.n; ++id) {
-    keys[id] = suite->keygen(mix64(seed, id));
-    key_table[id] = keys[id].public_key;
-  }
-  const crypto::PublicKeyDir public_keys(std::move(key_table));
 
   // Crash shape: the f highest ids never start and their links are dead
   // (the fleet has no Byzantine node kinds — network faults and crashes
@@ -446,17 +428,24 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                  ? shard::lead_replica(0, spec.n)
                                  : 0;
 
-  // Crash-restart shape: replica 2 is killed mid-run (node object
-  // destroyed, exactly what a kill -9 looks like to the others) and later
-  // reconstructed from its write-ahead logs, one per consensus group in
-  // the node binary's directory layout. A small checkpoint interval
-  // makes the fleet stabilize a checkpoint before the kill so recovery
-  // starts from it rather than from genesis.
+  // Crash-restart shape: replica 2 is killed mid-run and later rebuilt
+  // from its write-ahead logs, one per consensus group in the node
+  // binary's directory layout. A small checkpoint interval makes the
+  // fleet stabilize a checkpoint before the kill so recovery starts from
+  // it rather than from genesis.
   const ReplicaId victim = spec.fault == Fault::kKillRestart ? 2 : 0;
   const bool with_reads = spec.workload == Workload::kSmrReads;
-  smr::SmrOptions smr_opts = spec.smr;
+  SmrFleetConfig fc;
+  fc.n = spec.n;
+  fc.f = spec.f;
+  fc.o = spec.o;
+  fc.l = spec.l;
+  fc.seed = seed;
+  fc.latency = make_cluster_config(spec, seed).latency;
+  fc.shards = shards;
+  fc.options = spec.smr;
   if (with_reads) {
-    smr_opts.serve_reads = true;
+    fc.options.serve_reads = true;
     // Lease validity must be of the same order as the view-change
     // timeout: a promise defers wish/new-leader traffic for up to
     // duration + skew, and a deferral window far beyond the synchronizer
@@ -464,8 +453,8 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     // batches execute first and the per-client dedup then supersedes the
     // stalled slot's requests). The defaults (2 s) are wall-clock knobs;
     // scale them to the harness's 100 ms virtual timeouts.
-    smr_opts.lease_duration = 100'000;
-    smr_opts.lease_skew = 25'000;
+    fc.options.lease_duration = 100'000;
+    fc.options.lease_skew = 25'000;
   }
   std::vector<std::unique_ptr<store::Wal>> victim_wals(shards);
   std::filesystem::path wal_root;
@@ -474,97 +463,53 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // "recovered" replica empty record lists. The simulator only fakes the
   // crash (object teardown, not process death), so fsync buys nothing.
   const auto open_victim_wals = [&victim_wals, &wal_root, shards] {
+    std::vector<store::Wal*> wals;
     for (std::uint32_t s = 0; s < shards; ++s) {
       victim_wals[s].reset();
       victim_wals[s] = std::make_unique<store::Wal>(store::WalOptions{
           shard::group_wal_dir(wal_root.string(), s, shards),
           /*fsync=*/false});
+      wals.push_back(victim_wals[s].get());
     }
+    return wals;
   };
   if (victim != 0) {
-    smr_opts.checkpoint_interval = 2;
+    fc.options.checkpoint_interval = 2;
     wal_root = std::filesystem::temp_directory_path() /
                ("probft-kr-" + std::to_string(::getpid()) + "-" +
                 std::to_string(seed));
     std::filesystem::remove_all(wal_root);
-    open_victim_wals();
+    fc.wals.resize(spec.n + 1);
+    fc.wals[victim] = open_victim_wals();
   }
-  // Timers scheduled by a killed node must not fire into freed memory:
-  // under kill-restart every node's timer callbacks are epoch-guarded and
-  // the victim's epoch is bumped at the kill.
-  std::vector<std::uint64_t> epochs(spec.n + 1, 0);
 
   const std::uint64_t target = spec.smr_commands;
   std::size_t correct_total = 0;
-  std::size_t done = 0;  // correct replicas that executed the full workload
-  TimePoint last_execution_at = 0;
-
-  std::vector<std::unique_ptr<shard::ShardedSmr>> nodes(spec.n + 1);
-  std::function<void(ReplicaId)> build_node = [&](ReplicaId id) {
-    NodeParams params;
-    params.id = id;
-    params.n = spec.n;
-    params.f = spec.f;
-    params.o = spec.o;
-    params.l = spec.l;
-    params.smr = smr_opts;
-    params.suite = suite.get();
-    params.secret_key = keys[id].secret_key;
-    params.public_keys = public_keys;
-    shard::ShardedSmrConfig sc;
-    sc.base = smr_config(params);
-    sc.map.version = 1;
-    sc.map.shard_count = shards;
-    if (id == victim) {
-      for (const auto& wal : victim_wals) sc.wals.push_back(wal.get());
-    }
-    sc.on_execute = [&nodes, &done, &down, &last_execution_at, &sim, target,
-                     silenced, id](shard::ShardId,
-                                   const smr::ExecutedCommand&) {
-      last_execution_at = sim.now();
-      if (!down[id] && id != silenced &&
-          nodes[id]->executed_commands() == target) {
-        ++done;
-      }
-    };
-    core::ProtocolHost host = transport_host(
-        network, id,
-        [&sim, &epochs, id, guarded = victim != 0](Duration d,
-                                                   std::function<void()> fn) {
-          if (!guarded) {
-            sim.schedule_after(d, std::move(fn));
-            return;
-          }
-          const std::uint64_t epoch = epochs[id];
-          sim.schedule_after(d, [&epochs, id, epoch, fn = std::move(fn)] {
-            if (epochs[id] == epoch) fn();
-          });
-        });
-    nodes[id] = std::make_unique<shard::ShardedSmr>(std::move(sc),
-                                                    std::move(host));
-    network.register_handler(
-        id, [&nodes, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          if (nodes[id]) nodes[id]->on_message(from, tag, m);
-        });
-  };
   for (ReplicaId id = 1; id <= spec.n; ++id) {
     if (!down[id] && id != silenced) ++correct_total;
-    build_node(id);
   }
+  std::size_t done = 0;  // correct replicas that executed the full workload
+  TimePoint last_execution_at = 0;
+  SmrFleet fleet(std::move(fc));
+  net::Simulator& sim = fleet.simulator();
+  fleet.set_on_execute([&fleet, &sim, &done, &down, &last_execution_at,
+                        target, silenced](ReplicaId id, shard::ShardId,
+                                          const smr::ExecutedCommand&) {
+    last_execution_at = sim.now();
+    if (!down[id] && id != silenced &&
+        fleet.node(id).executed_commands() == target) {
+      ++done;
+    }
+  });
+  net::Network& network = fleet.network();
 
   if (victim != 0) {
     // Kill between the waves, restart before wave 2 lands: peers keep
     // deciding while the victim is gone, the restarted node recovers its
     // prefix from the WAL and backfills the rest via signed hints.
-    sim.schedule_after(250'000, [&epochs, &nodes, victim] {
-      ++epochs[victim];
-      nodes[victim].reset();
-    });
-    sim.schedule_after(450'000, [&build_node, &nodes, &open_victim_wals,
-                                 victim] {
-      open_victim_wals();
-      build_node(victim);
-      nodes[victim]->start();
+    sim.schedule_after(250'000, [&fleet, victim] { fleet.kill(victim); });
+    sim.schedule_after(450'000, [&fleet, &open_victim_wals, victim] {
+      fleet.restart(victim, open_victim_wals());
     });
   }
 
@@ -588,7 +533,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
           }
         });
   } else {
-    apply_network_fault(network, sim, spec, cfg.latency.gst, seed);
+    apply_network_fault(network, sim, spec, network.config().gst, seed);
   }
 
   // Two-wave client workload. Wave 2 lands after every benign outage
@@ -614,15 +559,15 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   const ReplicaId entry2 = spec.n >= 2 ? 2 : 1;
   const ReplicaId entry3 = spec.n >= 3 ? 3 : 1;
   const std::uint64_t wave1 = (target + 1) / 2;
-  const auto submit = [&nodes, pipelined](ReplicaId entry, std::uint64_t i) {
-    (void)nodes[entry]->submit_request(pipelined ? 9001 : 9100 + i,
-                                       pipelined ? i : 1,
-                                       to_bytes("cmd-" + std::to_string(i)));
+  const auto submit = [&fleet, pipelined](ReplicaId entry, std::uint64_t i) {
+    (void)fleet.node(entry).submit_request(
+        pipelined ? 9001 : 9100 + i, pipelined ? i : 1,
+        to_bytes("cmd-" + std::to_string(i)));
   };
   sim.schedule_after(1'000, [submit, wave1, entry1] {
     for (std::uint64_t i = 1; i <= wave1; ++i) submit(entry1, i);
   });
-  sim.schedule_after(500'000, [&nodes, submit, wave1, target, entry1, entry2,
+  sim.schedule_after(500'000, [&fleet, submit, wave1, target, entry1, entry2,
                                entry3] {
     // A client retry of the first request against another replica: the
     // owning group's dedup must keep it from executing twice.
@@ -630,21 +575,21 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     std::uint64_t next = wave1 + 1;
     if (next <= target) {
       // A second client entering at a non-leader replica (forwarded).
-      (void)nodes[entry2]->submit_request(9002, 1, to_bytes("cmd-w2"));
+      (void)fleet.node(entry2).submit_request(9002, 1, to_bytes("cmd-w2"));
       ++next;
     }
     for (; next <= target; ++next) submit(entry1, next - 1);
   });
 
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (!down[id]) nodes[id]->start();
+    if (!down[id]) fleet.node(id).start();
   }
-  std::size_t fired = 0;
-  while (done < correct_total && fired < spec.max_events &&
-         sim.now() < spec.deadline) {
-    if (!sim.step()) break;
-    ++fired;
-  }
+  (void)fleet.run_until(
+      [&] {
+        return done >= correct_total ||
+               sim.events_fired() >= spec.max_events;
+      },
+      spec.deadline);
 
   // Read phase (Workload::kSmrReads): once the write workload completed,
   // every up replica answers the known first write at all three
@@ -660,13 +605,13 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     const Bytes expected = to_bytes("cmd-1");
     std::uint64_t reads_fired = 0;
     for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) continue;
+      if (down[id] || !fleet.alive(id)) continue;
       for (const net::ReadConsistency mode :
            {net::ReadConsistency::kLinearizable,
             net::ReadConsistency::kSequential,
             net::ReadConsistency::kStaleOk}) {
         ++reads_attempted;
-        nodes[id]->submit_read(
+        fleet.node(id).submit_read(
             to_bytes("cmd-1"), mode, 0,
             [&reads_fired, &reads_executed, &reads_rejected, &stale_reads,
              &expected, mode](const smr::SmrReplica::ReadResult& r) {
@@ -684,12 +629,12 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
             });
       }
     }
-    const TimePoint read_deadline = sim.now() + 5'000'000;
-    while (reads_fired < reads_attempted && fired < spec.max_events &&
-           sim.now() < read_deadline) {
-      if (!sim.step()) break;
-      ++fired;
-    }
+    (void)fleet.run_until(
+        [&] {
+          return reads_fired >= reads_attempted ||
+                 sim.events_fired() >= spec.max_events;
+        },
+        sim.now() + 5'000'000);
   }
 
   // Recount completion from replica state rather than trusting the
@@ -698,8 +643,8 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   // saw the final count even though it holds the full workload.
   done = 0;
   for (ReplicaId id = 1; id <= spec.n; ++id) {
-    if (down[id] || id == silenced || !nodes[id]) continue;
-    if (nodes[id]->executed_commands() >= target) ++done;
+    if (down[id] || id == silenced || !fleet.alive(id)) continue;
+    if (fleet.node(id).executed_commands() >= target) ++done;
   }
 
   ScenarioOutcome outcome;
@@ -725,19 +670,19 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   for (std::uint32_t s = 0; s < shards; ++s) {
     const smr::SmrReplica* longest = nullptr;
     for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) continue;
-      const auto& g = nodes[id]->group(s);
+      if (down[id] || !fleet.alive(id)) continue;
+      const auto& g = fleet.node(id).group(s);
       if (longest == nullptr ||
           g.committed_slots() > longest->committed_slots()) {
         longest = &g;
       }
     }
     for (ReplicaId id = 1; id <= spec.n; ++id) {
-      if (down[id] || !nodes[id]) {
+      if (down[id] || !fleet.alive(id)) {
         if (s == 0) transcript << id << " down\n";
         continue;
       }
-      const auto& g = nodes[id]->group(s);
+      const auto& g = fleet.node(id).group(s);
       const auto& slot_log = g.slot_log();
       const std::uint64_t base = g.log_base();
       for (std::size_t i = 0; i < slot_log.size(); ++i) {
@@ -775,6 +720,7 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   }
   return outcome;
 }
+
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   ScenarioResult result;

@@ -124,7 +124,6 @@ struct ScenarioResult {
   std::vector<ScenarioOutcome> outcomes;  // parallel to spec.seeds
 
   [[nodiscard]] bool all_agreement() const;
-  [[nodiscard]] bool all_terminated() const;
 };
 
 [[nodiscard]] const char* to_string(Protocol protocol);
@@ -192,15 +191,13 @@ bool workload_from_string(const std::string& text, Workload& out);
 [[nodiscard]] ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                                            std::uint64_t seed);
 
-/// The SMR workload run path: n shard::ShardedSmr nodes of spec.shards
-/// consensus groups each over the simulated network (S = 1 is the plain
-/// single-group log, bit-identical on the wire), a two-wave client
-/// workload of spec.smr_commands requests (including a cross-replica
-/// retry that must execute once), fault filters from the spec.
-/// `terminated` means every correct replica executed the full workload
-/// across its groups; `agreement` means correct replicas' slot logs are
-/// prefix-consistent group by group; the transcript is one log-digest
-/// line per replica and group.
+/// The SMR workload run path: a sim::SmrFleet of spec.shards groups per
+/// node, a two-wave client workload of spec.smr_commands requests
+/// (including a cross-replica retry that must execute once), fault
+/// filters from the spec. `terminated` means every correct replica
+/// executed the full workload across its groups; `agreement` means
+/// correct replicas' slot logs are prefix-consistent group by group; the
+/// transcript is one log-digest line per replica and group.
 [[nodiscard]] ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
                                                std::uint64_t seed);
 

@@ -871,7 +871,6 @@ void SmrReplica::answer_read(const Bytes& key, const ReadCallback& cb) {
     result.slot = entry->slot;
     result.value = entry->value;
   }
-  ++reads_served_;
   if (cb) cb(result);
 }
 
@@ -913,7 +912,7 @@ void SmrReplica::drain_parked_reads() {
 
 void SmrReplica::request_lease() {
   if (!started_ || lease_poisoned_ || !cfg_.pipeline.serve_reads ||
-      !cfg_.pipeline.read_leases || !is_lease_leader()) {
+      !is_lease_leader()) {
     return;
   }
   const std::uint64_t epoch = ++lease_epoch_;
@@ -937,7 +936,7 @@ void SmrReplica::request_lease() {
 }
 
 void SmrReplica::handle_lease(ReplicaId from, const Bytes& payload) {
-  if (!cfg_.pipeline.serve_reads || !cfg_.pipeline.read_leases) return;
+  if (!cfg_.pipeline.serve_reads) return;
   const std::uint8_t kind = peek_read_msg_kind(span(payload));
   if (kind == kLeaseRequestKind) {
     const LeaseRequest req = LeaseRequest::decode(span(payload));

@@ -130,8 +130,6 @@ struct SmrOptions {
   /// and sends no read-path traffic, so the write path — and every
   /// pinned digest — is bit-identical to a build without reads.
   bool serve_reads = false;
-  /// Use leader leases for linearizable reads; off = read-index only.
-  bool read_leases = true;
   /// Leader-side lease validity (µs), clocked from the lease-request
   /// broadcast. Granters promise for lease_duration + lease_skew from
   /// the (strictly later) moment the request reaches them, so a deposed
@@ -304,8 +302,6 @@ class SmrReplica : public core::INode {
                                  std::uint64_t seq) const {
     return pending_keys_.count({client, seq}) != 0;
   }
-  /// The KV projection reads are answered from.
-  [[nodiscard]] const ReadView& read_view() const { return read_view_; }
   /// Whether this replica currently holds a live, unpoisoned lease.
   [[nodiscard]] bool lease_held() const {
     return lease_granted_epoch_ > lease_expired_epoch_ && !lease_poisoned_;
@@ -313,7 +309,6 @@ class SmrReplica : public core::INode {
   /// Whether lease serving has been permanently disabled (a decide at
   /// view > 1, a state transfer, or WAL recovery broke the premise).
   [[nodiscard]] bool lease_poisoned() const { return lease_poisoned_; }
-  [[nodiscard]] std::uint64_t reads_served() const { return reads_served_; }
   [[nodiscard]] std::uint64_t reads_rejected() const {
     return reads_rejected_;
   }
@@ -477,7 +472,6 @@ class SmrReplica : public core::INode {
   /// WAL snapshot recovery): the ReadView is missing the skipped writes,
   /// so every read is rejected rather than answered from a partial view.
   bool read_view_gap_ = false;
-  std::uint64_t reads_served_ = 0;
   std::uint64_t reads_rejected_ = 0;
   std::uint64_t lease_reads_ = 0;
   /// Reads waiting for execution to reach their read index, keyed by the

@@ -88,8 +88,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AttackSweep,
 using SilentParams = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
 
 std::string silent_name(const ::testing::TestParamInfo<SilentParams>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-         std::to_string(std::get<1>(info.param)) + "_s" +
+  return std::string("n") + std::to_string(std::get<0>(info.param)) +
+         "_f" + std::to_string(std::get<1>(info.param)) + "_s" +
          std::to_string(std::get<2>(info.param));
 }
 
@@ -128,7 +128,8 @@ INSTANTIATE_TEST_SUITE_P(
 using GridParams = std::tuple<std::int64_t, double, double>;
 
 std::string grid_name(const ::testing::TestParamInfo<GridParams>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
+  return std::string("n") + std::to_string(std::get<0>(info.param)) +
+         "_f" +
          std::to_string(static_cast<int>(std::get<1>(info.param) * 100)) +
          "_o" +
          std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
@@ -201,7 +202,8 @@ INSTANTIATE_TEST_SUITE_P(
 using OlParams = std::tuple<double, double, std::uint64_t>;
 
 std::string ol_name(const ::testing::TestParamInfo<OlParams>& info) {
-  return "o" + std::to_string(static_cast<int>(std::get<0>(info.param) * 10)) +
+  return std::string("o") +
+         std::to_string(static_cast<int>(std::get<0>(info.param) * 10)) +
          "_l" + std::to_string(static_cast<int>(std::get<1>(info.param) * 10)) +
          "_s" + std::to_string(std::get<2>(info.param));
 }

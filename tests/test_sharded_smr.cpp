@@ -18,13 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/verify_pool.hpp"
 #include "net/network.hpp"
 #include "shard/dtx.hpp"
 #include "shard/preverify.hpp"
 #include "shard/sharded_smr.hpp"
+#include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
+#include "sim/smr_fleet.hpp"
 #include "smr/preverify.hpp"
 #include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
@@ -33,135 +34,58 @@
 namespace probft::shard {
 namespace {
 
-/// n ShardedSmr nodes (each S groups) over the simulated network, with a
+/// A sim::SmrFleet of n ShardedSmr nodes (each S groups) with a
 /// DtxCoordinator per node driving off its execution stream — the same
-/// wiring the node binary uses, minus sockets. With `verify_pool`, inbound
-/// frames are admitted through an inline core::VerifyPool running
-/// shard::preverify_tasks into a verdict cache the node's groups consume,
-/// as `probft_node --verify-threads` does.
-struct ShardedFleet {
-  net::Simulator sim;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<crypto::CryptoSuite> suite;
-  std::vector<crypto::KeyPair> keys;
-  std::vector<std::unique_ptr<ShardedSmr>> nodes;       // 1-based
-  std::vector<std::unique_ptr<DtxCoordinator>> dtx;     // 1-based
-  std::vector<std::unique_ptr<core::VerifyPool>> pools;  // 1-based, optional
+/// wiring the node binary uses, minus sockets.
+struct ShardedFleet : sim::SmrFleet {
+  std::vector<std::unique_ptr<DtxCoordinator>> dtx;  // 1-based
   /// Replica 1's executed entries, each with whether its dtx tracker
   /// took it as a dtx entry (the node binary's no-reply rule).
   std::vector<std::pair<Bytes, bool>> entries_at_1;
 
   ShardedFleet(std::uint32_t n, std::uint32_t shards,
-               smr::SmrOptions options = {}, std::uint64_t seed = 1,
-               net::LatencyConfig latency = {},
-               const std::vector<std::vector<store::Wal*>>& wals = {},
-               bool verify_pool = false) {
-    net = std::make_unique<net::Network>(sim, n, seed, latency);
-    suite = crypto::make_sim_suite();
-    keys.resize(n + 1);
-    std::vector<Bytes> key_table(n + 1);
+               const smr::SmrOptions& options = {},
+               const net::LatencyConfig& latency = {},
+               std::vector<std::vector<store::Wal*>> wals = {})
+      : sim::SmrFleet(make_config(n, shards, options, latency,
+                                  std::move(wals))),
+        dtx(n + 1) {
     for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
-    nodes.resize(n + 1);
-    dtx.resize(n + 1);
-    pools.resize(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      ShardedSmrConfig cfg;
-      cfg.base.id = id;
-      cfg.base.n = n;
-      cfg.base.f = 0;
-      cfg.base.pipeline = options;
-      cfg.base.suite = suite.get();
-      cfg.base.secret_key = keys[id].secret_key;
-      cfg.base.public_keys = public_keys;
-      cfg.base.sync.base_timeout = 100'000;
-      cfg.map.shard_count = shards;
-      if (id < wals.size()) cfg.wals = wals[id];
-      if (verify_pool) {
-        cfg.base.verdicts = std::make_shared<core::VerdictCache>();
-        core::ReplicaConfig rc;
-        rc.n = n;
-        core::PreverifyContext ctx;
-        ctx.n = n;
-        ctx.sample_size = rc.sample_size();
-        ctx.suite = suite.get();
-        ctx.public_keys = public_keys;
-        pools[id] = std::make_unique<core::VerifyPool>(
-            ctx, cfg.base.verdicts, /*threads=*/0, preverify_tasks);
-      }
-      cfg.on_execute = [this, id](ShardId s,
-                                  const smr::ExecutedCommand& cmd) {
-        const bool dtx_entry = dtx[id] && dtx[id]->on_execute(s, cmd);
-        if (id == 1) entries_at_1.emplace_back(cmd.payload, dtx_entry);
-      };
-      core::ProtocolHost host;
-      host.send = [this, id](ReplicaId to, std::uint8_t tag,
-                             const Bytes& m) {
-        net->send(id, to, tag, m);
-      };
-      host.broadcast = [this, id](std::uint8_t tag, const Bytes& m) {
-        net->broadcast(id, tag, m);
-      };
-      host.set_timer = [this](Duration d, std::function<void()> fn) {
-        sim.schedule_after(d, std::move(fn));
-      };
-      nodes[id] = std::make_unique<ShardedSmr>(std::move(cfg), host);
       dtx[id] = std::make_unique<DtxCoordinator>(
-          *nodes[id], [this](Duration d, std::function<void()> fn) {
-            sim.schedule_after(d, std::move(fn));
-          });
-      net->register_handler(
-          id, [this, id](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-            if (!pools[id]) {
-              nodes[id]->on_message(from, tag, m);
-              return;
-            }
-            pools[id]->submit(from, tag, m);
-            pools[id]->drain(
-                [this, id](ReplicaId src, std::uint8_t t, const Bytes& b) {
-                  nodes[id]->on_message(src, t, b);
-                });
+          node(id), [this](Duration d, std::function<void()> fn) {
+            simulator().schedule_after(d, std::move(fn));
           });
     }
+    set_on_execute([this](ReplicaId id, ShardId s,
+                          const smr::ExecutedCommand& cmd) {
+      const bool dtx_entry = dtx[id]->on_execute(s, cmd);
+      if (id == 1) entries_at_1.emplace_back(cmd.payload, dtx_entry);
+    });
   }
 
-  void start_all() {
-    for (std::size_t id = 1; id < nodes.size(); ++id) nodes[id]->start();
-  }
-
-  /// Runs until every node's aggregate execution count reaches `expect`.
+  /// The sharded workloads' liveness bound: 120 s of simulated time.
   bool run_until_executed(std::uint64_t expect,
                           TimePoint deadline = 120'000'000) {
-    while (sim.now() < deadline) {
-      bool all = true;
-      for (std::size_t id = 1; id < nodes.size(); ++id) {
-        if (nodes[id]->executed_commands() < expect) {
-          all = false;
-          break;
-        }
-      }
-      if (all) return true;
-      if (!sim.step()) return false;
-    }
-    return false;
+    return sim::SmrFleet::run_until_executed(expect, deadline);
   }
 
-  void expect_per_shard_agreement() {
-    const std::uint32_t shards = nodes[1]->shard_count();
-    for (ShardId s = 0; s < shards; ++s) {
-      for (std::size_t id = 2; id < nodes.size(); ++id) {
-        EXPECT_EQ(nodes[id]->log_digest(s), nodes[1]->log_digest(s))
-            << "shard " << s << " diverged at replica " << id;
-      }
-    }
+ private:
+  static sim::SmrFleetConfig make_config(
+      std::uint32_t n, std::uint32_t shards, const smr::SmrOptions& options,
+      const net::LatencyConfig& latency,
+      std::vector<std::vector<store::Wal*>> wals) {
+    sim::SmrFleetConfig cfg;
+    cfg.n = n;
+    cfg.latency = latency;
+    cfg.shards = shards;
+    cfg.options = options;
+    cfg.wals = std::move(wals);
+    return cfg;
   }
 };
 
 /// n bare smr::SmrReplicas — the unsharded engine — wired like
-/// ShardedFleet minus the service layer, with every group's leader offset
+/// sim::SmrFleet minus the service layer, with every group's leader offset
 /// set to `leader_offset`.
 struct PlainFleet {
   net::Simulator sim;
@@ -174,13 +98,7 @@ struct PlainFleet {
              const net::LatencyConfig& latency) {
     net = std::make_unique<net::Network>(sim, n, seed, latency);
     suite = crypto::make_sim_suite();
-    std::vector<crypto::KeyPair> keys(n + 1);
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      keys[id] = suite->keygen(mix64(seed, id));
-      key_table[id] = keys[id].public_key;
-    }
-    const crypto::PublicKeyDir public_keys(std::move(key_table));
+    const sim::DerivedKeys keys = sim::derive_keys(*suite, n, seed);
     replicas.resize(n + 1);
     for (ReplicaId id = 1; id <= n; ++id) {
       smr::SmrConfig cfg;
@@ -190,8 +108,8 @@ struct PlainFleet {
       cfg.pipeline = options;
       cfg.leader_offset = leader_offset;
       cfg.suite = suite.get();
-      cfg.secret_key = keys[id].secret_key;
-      cfg.public_keys = public_keys;
+      cfg.secret_key = keys.pairs[id].secret_key;
+      cfg.public_keys = keys.public_keys;
       cfg.sync.base_timeout = 100'000;
       core::ProtocolHost host;
       host.send = [this, id](ReplicaId to, std::uint8_t tag,
@@ -249,31 +167,127 @@ Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
 // payload bytes — on every node — and sibling groups' logs must agree
 // fleet-wide, whether frames are admitted inline or through a verify
 // pool. (The pool once checked every Prepare/Commit leader signature
-// against shard 0's leader schedule, poisoning the shared cache so that
-// every other shard stalled.)
+// against shard 0's leader schedule, caching false verdicts that stalled
+// every other shard of a node consuming them; every frame here is
+// honest, so the pool must never cache a false verdict.)
 TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
   const std::uint32_t n = 4, shards = 4;
   const std::uint64_t commands = 24;
   for (const bool verify_pool : {false, true}) {
     SCOPED_TRACE(verify_pool ? "verify pool" : "inline");
-    ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, {}, verify_pool);
-    const Placement& placement = fleet.nodes[1]->placement();
+    ShardedFleet fleet(n, shards);
+    // Verify-pool admission as `probft_node --verify-threads` runs it: an
+    // inline pool in front of each node, running shard::preverify_tasks.
+    // (The nodes here keep private caches; the groups' use of a shared
+    // one is EveryGroupVerifiesThroughTheSharedVerdictCache's to check.)
+    std::vector<std::unique_ptr<core::VerifyPool>> pools(n + 1);
+    std::uint64_t false_verdicts = 0;
+    if (verify_pool) {
+      core::ReplicaConfig rc;
+      rc.n = n;
+      core::PreverifyContext ctx;
+      ctx.n = n;
+      ctx.sample_size = rc.sample_size();
+      ctx.suite = &fleet.suite();
+      ctx.public_keys = fleet.public_keys();
+      for (ReplicaId id = 1; id <= n; ++id) {
+        pools[id] = std::make_unique<core::VerifyPool>(
+            ctx, std::make_shared<core::VerdictCache>(), /*threads=*/0,
+            shard::preverify_tasks);
+        fleet.network().register_handler(
+            id, [&fleet, &pools, &false_verdicts, id](
+                    ReplicaId from, std::uint8_t tag, const Bytes& m) {
+              core::VerifyPool& pool = *pools[id];
+              pool.submit(from, tag, m);
+              for (const auto& task :
+                   shard::preverify_tasks(pool.context(), tag, m)) {
+                const auto verdict = pool.cache()->lookup(task.key);
+                if (verdict.has_value() && !*verdict) ++false_verdicts;
+              }
+              pool.drain([&fleet, id](ReplicaId src, std::uint8_t t,
+                                      const Bytes& b) {
+                fleet.node(id).on_message(src, t, b);
+              });
+            });
+      }
+    }
+    const Placement& placement = fleet.node(1).placement();
     std::map<ShardId, std::uint64_t> owned;
     for (std::uint64_t i = 1; i <= commands; ++i) {
       Bytes payload = to_bytes("op-" + std::to_string(i));
       ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
       ASSERT_TRUE(
-          fleet.nodes[1]->submit_request(9000 + i, 1, std::move(payload)));
+          fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
     }
-    fleet.start_all();
+    fleet.start();
     ASSERT_TRUE(fleet.run_until_executed(commands));
     for (ShardId s = 0; s < shards; ++s) {
       for (ReplicaId id = 1; id <= n; ++id) {
-        EXPECT_EQ(fleet.nodes[id]->group(s).executed_commands(), owned[s])
+        EXPECT_EQ(fleet.node(id).group(s).executed_commands(), owned[s])
             << "replica " << id << " shard " << s;
       }
     }
-    fleet.expect_per_shard_agreement();
+    EXPECT_TRUE(fleet.logs_agree());
+    EXPECT_EQ(false_verdicts, 0u);
+  }
+}
+
+// `probft_node --verify-threads` hands its pool's cache to the service as
+// SmrConfig::verdicts, so every group must verify through that one cache
+// or the pool's work is never consumed. A shadow of replica 4, a follower
+// in every group, built with such a cache is fed replica 4's inbound
+// frames: each shard's frames must leave verdicts in it.
+TEST(ShardedSmr, EveryGroupVerifiesThroughTheSharedVerdictCache) {
+  const std::uint32_t n = 4, shards = 3;  // replica 4 leads no group
+  ShardedFleet fleet(n, shards);
+  const auto cache = std::make_shared<core::VerdictCache>();
+  sim::NodeParams params;
+  params.id = 4;
+  params.n = n;
+  params.suite = &fleet.suite();
+  params.secret_key = fleet.keys()[4].secret_key;
+  params.public_keys = fleet.public_keys();
+  params.verdicts = cache;
+  ShardedSmrConfig sc;
+  sc.base = sim::smr_config(params);
+  sc.map.shard_count = shards;
+  core::ProtocolHost host;  // listens only: sends nothing, fires no timer
+  host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
+  host.broadcast = [](std::uint8_t, const Bytes&) {};
+  host.set_timer = [](Duration, std::function<void()>) {};
+  ShardedSmr shadow(std::move(sc), host);
+
+  core::ReplicaConfig rc;
+  rc.n = n;
+  core::PreverifyContext ctx;
+  ctx.n = n;
+  ctx.sample_size = rc.sample_size();
+  ctx.suite = &fleet.suite();
+  ctx.public_keys = fleet.public_keys();
+  std::vector<std::vector<Bytes>> keys(shards);  // per shard, verdict keys
+  fleet.network().register_handler(
+      4, [&](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        if (tag == kShardTag) {
+          Reader r(ByteSpan(m.data(), m.size()));
+          const ShardId s = r.u32();
+          for (auto& task : shard::preverify_tasks(ctx, tag, m)) {
+            keys[s].push_back(std::move(task.key));
+          }
+        }
+        fleet.node(4).on_message(from, tag, m);
+        shadow.on_message(from, tag, m);
+      });
+  for (std::uint64_t i = 1; i <= 24; ++i) {
+    ASSERT_TRUE(fleet.node(1).submit_request(
+        9000 + i, 1, to_bytes("op-" + std::to_string(i))));
+  }
+  shadow.start();
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until_executed(24));
+  for (ShardId s = 0; s < shards; ++s) {
+    std::size_t cached = 0;
+    for (const Bytes& key : keys[s]) cached += cache->contains(key) ? 1 : 0;
+    EXPECT_GT(cached, 0u) << "shard " << s << " bypassed the shared cache";
   }
 }
 
@@ -312,8 +326,8 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
     options.lease_skew = 25'000;
     const Bytes read_key = to_bytes("op-1");
 
-    ShardedFleet fleet(n, c.shards, options, /*seed=*/1, fifo);
-    const ShardMap map = fleet.nodes[1]->placement().map();
+    ShardedFleet fleet(n, c.shards, options, fifo);
+    const ShardMap map = fleet.node(1).placement().map();
     std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> slice(
         c.shards);
     for (std::uint64_t i = 1; i <= commands; ++i) {
@@ -321,24 +335,24 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
       const ShardId s =
           shard_of(map, ByteSpan(payload.data(), payload.size()));
       slice[s].emplace_back(9000 + i, payload);
-      ASSERT_TRUE(fleet.nodes[c.entry]->submit_request(9000 + i, 1,
+      ASSERT_TRUE(fleet.node(c.entry).submit_request(9000 + i, 1,
                                                        std::move(payload)));
     }
     net::ReplyStatus sharded_read = net::ReplyStatus::kRejected;
     if (c.serve_reads) {
-      fleet.sim.schedule_after(1'000'000, [&fleet, &read_key,
+      fleet.simulator().schedule_after(1'000'000, [&fleet, &read_key,
                                            &sharded_read] {
-        fleet.nodes[3]->submit_read(
+        fleet.node(3).submit_read(
             read_key, net::ReadConsistency::kLinearizable, 0,
             [&sharded_read](const smr::SmrReplica::ReadResult& r) {
               sharded_read = r.status;
             });
       });
     }
-    fleet.start_all();
+    fleet.start();
     ASSERT_TRUE(fleet.run_until_executed(commands));
-    if (c.shards == 1) run_to(fleet.sim, horizon);
-    fleet.expect_per_shard_agreement();
+    if (c.shards == 1) run_to(fleet.simulator(), horizon);
+    EXPECT_TRUE(fleet.logs_agree());
 
     for (ShardId s = 0; s < c.shards; ++s) {
       // S = 1-equivalent: a plain fleet with this group's leader offset,
@@ -370,12 +384,13 @@ TEST(ShardedSmr, PerShardLogsBitIdenticalToPlainSingleGroupFleet) {
       }
       ASSERT_GE(plain.replicas[1]->executed_commands(), slice[s].size())
           << "plain fleet for shard " << s << " did not finish";
-      EXPECT_EQ(fleet.nodes[1]->log_digest(s), plain.replicas[1]->log_digest())
+      EXPECT_EQ(fleet.node(1).group(s).log_digest(),
+                plain.replicas[1]->log_digest())
           << "shard " << s
           << ": multiplexed log diverged from the single-group fleet";
       if (c.shards > 1) continue;
 
-      const net::TransportStats& got = fleet.net->stats();
+      const net::TransportStats& got = fleet.network().stats();
       const net::TransportStats& want = plain.net->stats();
       EXPECT_EQ(got.sends_by_tag, want.sends_by_tag);
       EXPECT_EQ(got.bytes_by_tag, want.bytes_by_tag);
@@ -414,18 +429,18 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
 
   std::uint64_t committed_cb = 0;
   {
-    ShardedFleet fleet(n, shards, {}, /*seed=*/1, {}, wals);
-    const ShardMap map = fleet.nodes[1]->placement().map();
+    ShardedFleet fleet(n, shards, {}, {}, wals);
+    const ShardMap map = fleet.node(1).placement().map();
     fleet.dtx[1]->set_on_complete(
         [&committed_cb](std::uint64_t, bool committed, std::uint64_t,
                         std::uint64_t) {
           if (committed) ++committed_cb;
         });
     for (std::uint64_t i = 1; i <= commands; ++i) {
-      ASSERT_TRUE(fleet.nodes[1]->submit_request(
+      ASSERT_TRUE(fleet.node(1).submit_request(
           9000 + i, 1, to_bytes("op-" + std::to_string(i))));
     }
-    fleet.start_all();
+    fleet.start();
     for (std::uint64_t j = 0; j < dtx_count; ++j) {
       ASSERT_TRUE(fleet.dtx[1]->submit(
           88'000 + j, 1,
@@ -433,7 +448,7 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     }
     const std::uint64_t expect = commands + dtx_count * (2 + 2 * shards);
     ASSERT_TRUE(fleet.run_until_executed(expect));
-    fleet.expect_per_shard_agreement();
+    EXPECT_TRUE(fleet.logs_agree());
     for (ReplicaId id = 1; id <= n; ++id) {
       EXPECT_EQ(fleet.dtx[id]->committed(), dtx_count) << "replica " << id;
       EXPECT_EQ(fleet.dtx[id]->aborted(), 0u) << "replica " << id;
@@ -445,7 +460,7 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     // WALs keep replica 1's history).
     std::vector<std::string> digests(shards);
     for (ShardId s = 0; s < shards; ++s) {
-      digests[s] = fleet.nodes[1]->log_digest(s);
+      digests[s] = fleet.node(1).group(s).log_digest();
     }
     for (auto& wal : wal_store) wal.reset();
     wal_store.clear();
@@ -457,13 +472,9 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     cfg.base.id = 1;
     cfg.base.n = n;
     cfg.base.f = 0;
-    cfg.base.suite = fleet.suite.get();
-    cfg.base.secret_key = fleet.keys[1].secret_key;
-    std::vector<Bytes> key_table(n + 1);
-    for (ReplicaId id = 1; id <= n; ++id) {
-      key_table[id] = fleet.keys[id].public_key;
-    }
-    cfg.base.public_keys = crypto::PublicKeyDir(std::move(key_table));
+    cfg.base.suite = &fleet.suite();
+    cfg.base.secret_key = fleet.keys()[1].secret_key;
+    cfg.base.public_keys = fleet.public_keys();
     cfg.map.shard_count = shards;
     for (ShardId s = 0; s < shards; ++s) {
       reopened.push_back(std::make_unique<store::Wal>(store::WalOptions{
@@ -477,7 +488,7 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
     host.set_timer = [](Duration, std::function<void()>) {};
     ShardedSmr revived(std::move(cfg), host);
     for (ShardId s = 0; s < shards; ++s) {
-      EXPECT_EQ(revived.log_digest(s), digests[s])
+      EXPECT_EQ(revived.group(s).log_digest(), digests[s])
           << "shard " << s << " recovered a different history";
     }
     DtxCoordinator revived_dtx(
@@ -497,10 +508,10 @@ TEST(ShardedSmr, DtxCommitsAtomicallyAndSurvivesWalRecovery) {
 // S = 1 a "DTX1" request is a one-participant transaction: 2 + 2 entries.
 TEST(ShardedSmr, DtxOnExecuteClassifiesOnlyRealDtxEntries) {
   ShardedFleet fleet(/*n=*/4, /*shards=*/1);
-  ASSERT_TRUE(fleet.nodes[1]->submit_request(9001, 1, to_bytes("DXfoo=1")));
-  fleet.start_all();
+  ASSERT_TRUE(fleet.node(1).submit_request(9001, 1, to_bytes("DXfoo=1")));
+  fleet.start();
   ASSERT_TRUE(fleet.dtx[1]->submit(
-      88'000, 1, dtx_payload(fleet.nodes[1]->placement().map(), 1, "dtx")));
+      88'000, 1, dtx_payload(fleet.node(1).placement().map(), 1, "dtx")));
   ASSERT_TRUE(fleet.run_until_executed(1 + 4));
   EXPECT_EQ(fleet.dtx[1]->committed(), 1u);
 
@@ -549,13 +560,13 @@ TEST(ShardedSmr, SilentShardZeroLeaderDoesNotStallSiblingShards) {
 TEST(ShardedSmrPreverify, PlainSmrFrameMatchesSingleGroupExtractor) {
   ShardedFleet fleet(/*n=*/4, /*shards=*/1);
   std::vector<Bytes> frames;
-  fleet.net->set_payload_filter(
+  fleet.network().set_payload_filter(
       [&frames](ReplicaId, ReplicaId, std::uint8_t tag, const Bytes& m) {
         if (tag == smr::kSmrTag) frames.push_back(m);
         return false;
       });
-  ASSERT_TRUE(fleet.nodes[1]->submit_request(9001, 1, to_bytes("op-1")));
-  fleet.start_all();
+  ASSERT_TRUE(fleet.node(1).submit_request(9001, 1, to_bytes("op-1")));
+  fleet.start();
   ASSERT_TRUE(fleet.run_until_executed(1));
   ASSERT_FALSE(frames.empty());
 
@@ -565,12 +576,8 @@ TEST(ShardedSmrPreverify, PlainSmrFrameMatchesSingleGroupExtractor) {
   core::PreverifyContext ctx;
   ctx.n = 4;
   ctx.sample_size = rc.sample_size();
-  ctx.suite = fleet.suite.get();
-  std::vector<Bytes> key_table(5);
-  for (ReplicaId id = 1; id <= 4; ++id) {
-    key_table[id] = fleet.keys[id].public_key;
-  }
-  ctx.public_keys = crypto::PublicKeyDir(std::move(key_table));
+  ctx.suite = &fleet.suite();
+  ctx.public_keys = fleet.public_keys();
 
   std::size_t tasks = 0;
   for (const Bytes& frame : frames) {

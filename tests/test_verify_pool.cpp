@@ -7,14 +7,11 @@
 // the TSan CI job exists largely to race the pool's workers for real.
 #include <gtest/gtest.h>
 
-#include <future>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/verify_pool.hpp"
 #include "protocol_test_util.hpp"
-#include "smr/executor.hpp"
 
 namespace probft::core {
 namespace {
@@ -197,60 +194,6 @@ TEST(VerifyPoolOrder, SubmissionOrderSurvivesConcurrency) {
   for (std::size_t i = 0; i < traffic.size(); ++i) {
     ASSERT_EQ(delivered[i], traffic[i]) << "reordered at " << i;
   }
-}
-
-// ---- AsyncExecutor (the --exec-offload stage) ----
-
-TEST(AsyncExecutor, RunsJobsInSubmissionOrder) {
-  std::vector<int> ran;
-  {
-    smr::AsyncExecutor exec;
-    for (int i = 0; i < 1000; ++i) {
-      exec.run_or_submit([&ran, i] { ran.push_back(i); });
-    }
-    exec.drain();
-  }
-  ASSERT_EQ(ran.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(ran[i], i);
-}
-
-TEST(AsyncExecutor, SubmitRefusesWhenFullWithoutRunningInline) {
-  smr::AsyncExecutor exec(/*max_queue=*/1);
-  std::promise<void> release;
-  auto gate = release.get_future().share();
-  ASSERT_TRUE(exec.submit([gate] { gate.wait(); }));
-  // Wait for the worker to claim the blocker so exactly one slot exists.
-  while (exec.queued() > 0) std::this_thread::yield();
-  bool second_ran = false;
-  ASSERT_TRUE(exec.submit([&second_ran] { second_ran = true; }));
-  bool third_ran = false;
-  EXPECT_FALSE(exec.submit([&third_ran] { third_ran = true; }));
-  release.set_value();
-  exec.drain();
-  EXPECT_TRUE(second_ran);
-  EXPECT_FALSE(third_ran);  // refused jobs are dropped, never run late
-}
-
-TEST(AsyncExecutor, RunOrSubmitBlocksToPreserveOrder) {
-  smr::AsyncExecutor exec(/*max_queue=*/1);
-  std::promise<void> release;
-  auto gate = release.get_future().share();
-  std::vector<int> ran;
-  exec.run_or_submit([gate] { gate.wait(); });
-  while (exec.queued() > 0) std::this_thread::yield();
-  exec.run_or_submit([&ran] { ran.push_back(1); });  // fills the queue
-  std::thread producer([&exec, &ran] {
-    exec.run_or_submit([&ran] { ran.push_back(2); });  // must block, not run
-  });
-  // The producer must not have executed job 2 inline while job 1 queues.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(ran.empty());
-  release.set_value();
-  producer.join();
-  exec.drain();
-  ASSERT_EQ(ran.size(), 2u);
-  EXPECT_EQ(ran[0], 1);
-  EXPECT_EQ(ran[1], 2);
 }
 
 }  // namespace
