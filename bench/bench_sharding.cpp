@@ -172,7 +172,6 @@ smr::SmrOptions bench_options() {
   // into a handful of slots per group.
   options.window = 4;
   options.batch_max_commands = 1;
-  options.max_slots = 1u << 20;
   return options;
 }
 

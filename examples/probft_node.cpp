@@ -478,12 +478,13 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
         return;
       }
       // Ordinary request: dedup against the OWNING group's tables (each
-      // group has its own per-client last-executed map).
+      // group has its own per-client replay windows).
       const smr::SmrReplica& group =
           node->group(node->owner_of(request.payload));
-      if (request.seq <= group.last_executed_seq(request.client_id)) {
-        // Already executed: answer the retry from the cache (only the
-        // client's latest request is cached, PBFT-style).
+      if (group.has_executed(request.client_id, request.seq)) {
+        // Already executed (or too old for the client's replay window):
+        // answer the retry from the cache (only the client's latest
+        // request is cached, PBFT-style).
         const auto cached = last_reply.find(request.client_id);
         if (cached != last_reply.end() &&
             cached->second.seq == request.seq) {

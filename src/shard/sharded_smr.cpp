@@ -104,7 +104,8 @@ bool ShardedSmr::submit_to_shard(ShardId s, std::uint64_t client,
     forward = std::move(w).take();
   }
   // Local enqueue first (liveness fallback: if the remote leader never
-  // batches it, this replica's pacing timer eventually will).
+  // batches it, a slot this replica opens carries it — at once when no
+  // slot is in flight, else on the pacing timer).
   const bool accepted = groups_[s]->submit_request(client, seq,
                                                   std::move(payload));
   if (accepted && !forward.empty()) {

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "sim/smr_fleet.hpp"
@@ -449,10 +452,9 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
     // Lease validity must be of the same order as the view-change
     // timeout: a promise defers wish/new-leader traffic for up to
     // duration + skew, and a deferral window far beyond the synchronizer
-    // timeout lets later slots race ahead of a stalled one (their
-    // batches execute first and the per-client dedup then supersedes the
-    // stalled slot's requests). The defaults (2 s) are wall-clock knobs;
-    // scale them to the harness's 100 ms virtual timeouts.
+    // timeout lets later slots race far ahead of a stalled one. The
+    // defaults (2 s) are wall-clock knobs; scale them to the harness's
+    // 100 ms virtual timeouts.
     fc.options.lease_duration = 100'000;
     fc.options.lease_skew = 25'000;
   }
@@ -490,12 +492,22 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   }
   std::size_t done = 0;  // correct replicas that executed the full workload
   TimePoint last_execution_at = 0;
+  // Exactly-once evidence: every (client, seq) each replica executed, as
+  // its on_execute reported it, and every pair the clients submitted.
+  using ClientSeq = std::pair<std::uint64_t, std::uint64_t>;
+  std::vector<std::set<ClientSeq>> executed(spec.n + 1);
+  std::set<ClientSeq> submitted;
+  bool executed_twice = false;
   SmrFleet fleet(std::move(fc));
   net::Simulator& sim = fleet.simulator();
   fleet.set_on_execute([&fleet, &sim, &done, &down, &last_execution_at,
-                        target, silenced](ReplicaId id, shard::ShardId,
-                                          const smr::ExecutedCommand&) {
+                        &executed, &executed_twice, target,
+                        silenced](ReplicaId id, shard::ShardId,
+                                  const smr::ExecutedCommand& cmd) {
     last_execution_at = sim.now();
+    if (!executed[id].emplace(cmd.client, cmd.seq).second) {
+      executed_twice = true;
+    }
     if (!down[id] && id != silenced &&
         fleet.node(id).executed_commands() == target) {
       ++done;
@@ -543,38 +555,36 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
   //
   // Client shape: the single-group smr workload pipelines one client
   // (9001) through consecutive seqs — every pinned transcript was
-  // captured against it. The reads workload and sharded fleets instead
-  // give each command its own client id. Lease promises legitimately
-  // delay view changes (a wish defers for up to duration + skew), so a
-  // stalled slot can resolve empty after later slots already executed —
-  // and a pipelined client's requeued low seqs would then be superseded
-  // by its executed high seq under highest-seq dedup. Per-client seq
-  // order is likewise a per-group property, so one client spread across
-  // groups would let that dedup eat reordered forwards. Distinct clients
-  // make delayed commands re-proposable instead of droppable. The entry
-  // replica avoids the silenced shard-0 leader so wave requests keep a
-  // live proposer path.
+  // captured against it; its low seqs may execute after higher ones
+  // (a stalled slot resolving empty requeues them), which the per-client
+  // replay window allows. The reads workload and sharded fleets instead
+  // give each command its own client id. The entry replica avoids the
+  // silenced shard-0 leader so wave requests keep a live proposer path.
   const bool pipelined = shards == 1 && !with_reads;
   const ReplicaId entry1 = silenced == 1 && spec.n >= 2 ? 2 : 1;
   const ReplicaId entry2 = spec.n >= 2 ? 2 : 1;
   const ReplicaId entry3 = spec.n >= 3 ? 3 : 1;
   const std::uint64_t wave1 = (target + 1) / 2;
-  const auto submit = [&fleet, pipelined](ReplicaId entry, std::uint64_t i) {
+  const auto submit = [&fleet, &submitted, pipelined](ReplicaId entry,
+                                                      std::uint64_t i) {
+    const std::uint64_t client = pipelined ? 9001 : 9100 + i;
+    const std::uint64_t seq = pipelined ? i : 1;
+    submitted.emplace(client, seq);
     (void)fleet.node(entry).submit_request(
-        pipelined ? 9001 : 9100 + i, pipelined ? i : 1,
-        to_bytes("cmd-" + std::to_string(i)));
+        client, seq, to_bytes("cmd-" + std::to_string(i)));
   };
   sim.schedule_after(1'000, [submit, wave1, entry1] {
     for (std::uint64_t i = 1; i <= wave1; ++i) submit(entry1, i);
   });
-  sim.schedule_after(500'000, [&fleet, submit, wave1, target, entry1, entry2,
-                               entry3] {
+  sim.schedule_after(500'000, [&fleet, &submitted, submit, wave1, target,
+                               entry1, entry2, entry3] {
     // A client retry of the first request against another replica: the
     // owning group's dedup must keep it from executing twice.
     submit(entry3, 1);
     std::uint64_t next = wave1 + 1;
     if (next <= target) {
       // A second client entering at a non-leader replica (forwarded).
+      submitted.emplace(9002, 1);
       (void)fleet.node(entry2).submit_request(9002, 1, to_bytes("cmd-w2"));
       ++next;
     }
@@ -709,6 +719,19 @@ ScenarioOutcome run_scenario_smr(const ScenarioSpec& spec,
       transcript << " " << g.executed_commands() << " "
                  << g.committed_slots() << " " << g.log_base() << " "
                  << g.log_digest() << "\n";
+    }
+  }
+  // Exactly once: no replica executed a pair twice, and every complete
+  // replica — one that finished the workload and whose on_execute saw
+  // every execution (no adopted checkpoint skipped a stretch) — executed
+  // every submitted pair.
+  if (executed_twice) agreement = false;
+  for (ReplicaId id = 1; id <= spec.n; ++id) {
+    if (down[id] || id == silenced || !fleet.alive(id)) continue;
+    const std::uint64_t count = fleet.node(id).executed_commands();
+    if (count < target || executed[id].size() != count) continue;
+    for (const ClientSeq& pair : submitted) {
+      if (executed[id].count(pair) == 0) agreement = false;
     }
   }
   outcome.agreement = agreement;

@@ -13,7 +13,7 @@ namespace {
 constexpr std::string_view kCkptDomain = "probft-ckpt-v1";
 constexpr std::string_view kHintDomain = "probft-hint-v1";
 
-/// Sanity cap on last_exec entries (a forged state cannot allocate
+/// Sanity cap on dedup entries (a forged state cannot allocate
 /// unboundedly); generous against any realistic client population here.
 constexpr std::size_t kMaxDedupEntries = 1 << 20;
 
@@ -33,10 +33,11 @@ void CheckpointState::encode(Writer& w) const {
   w.u64(slot);
   w.u64(exec_count);
   w.bytes(ByteSpan(log_digest.data(), log_digest.size()));
-  w.vec(last_exec,
-        [](Writer& ww, const std::pair<std::uint64_t, std::uint64_t>& e) {
+  w.vec(dedup,
+        [](Writer& ww, const std::pair<std::uint64_t, ReplayWindow>& e) {
           ww.u64(e.first);
-          ww.u64(e.second);
+          ww.u64(e.second.top);
+          ww.u64(e.second.bits);
         });
 }
 
@@ -48,16 +49,20 @@ CheckpointState CheckpointState::decode(Reader& r) {
   if (state.log_digest.size() != crypto::Sha256::kDigestSize) {
     throw CodecError("checkpoint state: bad digest size");
   }
-  state.last_exec =
-      r.vec<std::pair<std::uint64_t, std::uint64_t>>(
-          [](Reader& rr) {
-            const std::uint64_t client = rr.u64();
-            const std::uint64_t seq = rr.u64();
-            return std::pair<std::uint64_t, std::uint64_t>{client, seq};
-          },
-          kMaxDedupEntries);
-  for (std::size_t i = 1; i < state.last_exec.size(); ++i) {
-    if (state.last_exec[i - 1].first >= state.last_exec[i].first) {
+  state.dedup = r.vec<std::pair<std::uint64_t, ReplayWindow>>(
+      [](Reader& rr) {
+        const std::uint64_t client = rr.u64();
+        ReplayWindow window;
+        window.top = rr.u64();
+        window.bits = rr.u64();
+        if ((window.bits & 1U) == 0) {
+          throw CodecError("checkpoint state: window top not executed");
+        }
+        return std::pair<std::uint64_t, ReplayWindow>{client, window};
+      },
+      kMaxDedupEntries);
+  for (std::size_t i = 1; i < state.dedup.size(); ++i) {
+    if (state.dedup[i - 1].first >= state.dedup[i].first) {
       throw CodecError("checkpoint state: dedup table not strictly sorted");
     }
   }

@@ -9,7 +9,7 @@
 //
 //  - A `CheckpointState` is the deterministic digest-able summary of an
 //    executed prefix: next-exec slot, executed-command count, the chained
-//    log digest at that slot, and the per-client dedup table. Every correct
+//    log digest at that slot, and the per-client dedup windows. Every correct
 //    replica that executed the same prefix produces bit-identical state.
 //  - At each checkpoint-interval slot boundary a replica signs the state
 //    digest and broadcasts a `CheckpointVote`; 2f+1 matching votes form a
@@ -35,6 +35,7 @@
 #include "common/types.hpp"
 #include "crypto/suite.hpp"
 #include "net/tags.hpp"
+#include "smr/replay_window.hpp"
 
 namespace probft::smr {
 
@@ -50,14 +51,14 @@ inline constexpr std::uint8_t kSmrStateTag = net::tags::kSmrState;
 [[nodiscard]] Bytes chain_digest(const Bytes& prev, const Bytes& value);
 
 /// Deterministic summary of an executed prefix. Two correct replicas that
-/// executed the same slots produce identical encodings (last_exec is kept
+/// executed the same slots produce identical encodings (dedup is kept
 /// sorted by client id), hence identical digests.
 struct CheckpointState {
   std::uint64_t slot = 0;        // next slot to execute (= slots executed)
   std::uint64_t exec_count = 0;  // commands executed so far
   Bytes log_digest;              // 32-byte chained digest at `slot`
-  /// Per-client last-executed seq, ascending by client id.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> last_exec;
+  /// Per-client anti-replay windows, ascending by client id.
+  std::vector<std::pair<std::uint64_t, ReplayWindow>> dedup;
 
   void encode(Writer& w) const;
   static CheckpointState decode(Reader& r);

@@ -47,7 +47,7 @@ SmrReplica::SmrReplica(SmrConfig config, core::ProtocolHost host)
     : cfg_(std::move(config)), host_(std::move(host)) {
   if (cfg_.id == 0 || cfg_.id > cfg_.n || cfg_.suite == nullptr ||
       cfg_.public_keys.size() != cfg_.n + 1 ||
-      cfg_.pipeline.max_slots == 0 || cfg_.pipeline.window == 0 ||
+      cfg_.pipeline.window == 0 ||
       cfg_.pipeline.batch_max_commands == 0 ||
       cfg_.pipeline.batch_max_bytes < 64) {
     throw std::invalid_argument("SmrReplica: bad configuration");
@@ -118,9 +118,8 @@ bool SmrReplica::enqueue(Request request) {
   if (queue_.size() >= cfg_.pipeline.max_pending_requests) {
     return false;  // backpressure: a forward flood must not grow memory
   }
-  const auto last = last_exec_.find(request.client);
-  if (last != last_exec_.end() && request.seq <= last->second) {
-    return false;  // already executed (or superseded): retry is a no-op
+  if (executed(request)) {
+    return false;  // already executed (or too old): retry is a no-op
   }
   if (!pending_keys_.insert({request.client, request.seq}).second) {
     return false;  // already queued or assigned to an in-flight slot
@@ -137,19 +136,45 @@ bool SmrReplica::has_committed(const Bytes& payload) const {
 }
 
 std::uint64_t SmrReplica::last_executed_seq(std::uint64_t client) const {
-  const auto it = last_exec_.find(client);
-  return it == last_exec_.end() ? 0 : it->second;
+  const auto it = dedup_.find(client);
+  return it == dedup_.end() ? 0 : it->second.top;
+}
+
+bool SmrReplica::has_executed(std::uint64_t client, std::uint64_t seq) const {
+  const auto it = dedup_.find(client);
+  return it != dedup_.end() && it->second.executed(seq);
+}
+
+void SmrReplica::requeue(Batch mine) {
+  assigned_count_ -= mine.size();
+  for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
+    if (executed(*rit)) {
+      pending_keys_.erase({rit->client, rit->seq});
+      continue;
+    }
+    queue_bytes_ += request_wire_size(*rit);
+    queue_.push_front(std::move(*rit));
+  }
+}
+
+void SmrReplica::scrub_queue() {
+  for (auto qit = queue_.begin(); qit != queue_.end();) {
+    if (executed(*qit)) {
+      pending_keys_.erase({qit->client, qit->seq});
+      queue_bytes_ -= request_wire_size(*qit);
+      qit = queue_.erase(qit);
+    } else {
+      ++qit;
+    }
+  }
 }
 
 std::uint64_t SmrReplica::open_limit() const {
-  return std::min<std::uint64_t>(cfg_.pipeline.max_slots,
-                                 exec_slots() + cfg_.pipeline.window);
+  return exec_slots() + cfg_.pipeline.window;
 }
 
 std::uint64_t SmrReplica::horizon() const {
-  return std::min<std::uint64_t>(
-      cfg_.pipeline.max_slots,
-      exec_slots() + 2 * static_cast<std::uint64_t>(cfg_.pipeline.window));
+  return exec_slots() + 2 * static_cast<std::uint64_t>(cfg_.pipeline.window);
 }
 
 bool SmrReplica::full_batch_ready() const {
@@ -166,7 +191,11 @@ void SmrReplica::maybe_open_slots(bool pace_expired) {
       continue;
     }
     if (queue_.empty()) break;
-    if (!full_batch_ready() && !pace_expired) break;
+    // A partial batch opens at once on an idle pipeline (nothing in
+    // flight); behind an in-flight slot it waits for the pacing timer or
+    // for execution to drain the pipeline.
+    const bool idle = next_open_ <= exec_slots();
+    if (!full_batch_ready() && !pace_expired && !idle) break;
     pace_expired = false;  // one partial batch per pacing expiry
     open_next_slot();
   }
@@ -380,9 +409,8 @@ void SmrReplica::execute_ready_slots() {
       batch.clear();  // unreachable behind the validity predicate
     }
     for (Request& req : batch) {
-      auto& last = last_exec_[req.client];
-      if (req.seq <= last) continue;  // replayed request: execute once
-      last = req.seq;
+      if (executed(req)) continue;  // replayed request: execute once
+      dedup_[req.client].mark(req.seq);
       ExecutedCommand exec;
       exec.slot = slot;
       exec.index = exec_count_;
@@ -403,29 +431,10 @@ void SmrReplica::execute_ready_slots() {
     const auto ait = assigned_.find(slot);
     if (ait != assigned_.end()) {
       Batch mine = std::move(ait->second);
-      assigned_count_ -= mine.size();
       assigned_.erase(ait);
-      for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
-        const auto lit = last_exec_.find(rit->client);
-        if (lit != last_exec_.end() && rit->seq <= lit->second) {
-          pending_keys_.erase({rit->client, rit->seq});
-          continue;
-        }
-        queue_bytes_ += request_wire_size(*rit);
-        queue_.push_front(std::move(*rit));
-      }
+      requeue(std::move(mine));
     }
-    // Scrub queued requests another replica's batch just executed.
-    for (auto qit = queue_.begin(); qit != queue_.end();) {
-      const auto lit = last_exec_.find(qit->client);
-      if (lit != last_exec_.end() && qit->seq <= lit->second) {
-        pending_keys_.erase({qit->client, qit->seq});
-        queue_bytes_ -= request_wire_size(*qit);
-        qit = queue_.erase(qit);
-      } else {
-        ++qit;
-      }
-    }
+    scrub_queue();
 
     log_.push_back(std::move(value));
     chain_ = chain_digest(chain_, log_.back());
@@ -434,6 +443,7 @@ void SmrReplica::execute_ready_slots() {
     maybe_checkpoint();
   }
   if (advanced) {
+    pull_lost_traffic();
     drain_parked_reads();
     retire_executed_slots();
     maybe_open_slots(/*pace_expired=*/false);
@@ -462,7 +472,7 @@ CheckpointState SmrReplica::snapshot_state() const {
   state.slot = exec_slots();
   state.exec_count = exec_count_;
   state.log_digest = chain_;
-  state.last_exec.assign(last_exec_.begin(), last_exec_.end());
+  state.dedup.assign(dedup_.begin(), dedup_.end());
   return state;
 }
 
@@ -562,35 +572,16 @@ void SmrReplica::install_checkpoint(CheckpointState state,
   const std::uint64_t slot = state.slot;  // > exec_slots(), caller-checked
 
   // Our own in-flight assignments for skipped slots: requests the
-  // checkpoint's dedup table does not cover go back to the queue head.
-  std::map<std::uint64_t, std::uint64_t> last_new(state.last_exec.begin(),
-                                                  state.last_exec.end());
+  // checkpoint's dedup windows do not cover go back to the queue head.
+  dedup_ = std::map<std::uint64_t, ReplayWindow>(state.dedup.begin(),
+                                                 state.dedup.end());
   for (auto ait = assigned_.begin();
        ait != assigned_.end() && ait->first < slot;) {
     Batch mine = std::move(ait->second);
-    assigned_count_ -= mine.size();
     ait = assigned_.erase(ait);
-    for (auto rit = mine.rbegin(); rit != mine.rend(); ++rit) {
-      const auto lit = last_new.find(rit->client);
-      if (lit != last_new.end() && rit->seq <= lit->second) {
-        pending_keys_.erase({rit->client, rit->seq});
-        continue;
-      }
-      queue_bytes_ += request_wire_size(*rit);
-      queue_.push_front(std::move(*rit));
-    }
+    requeue(std::move(mine));
   }
-  last_exec_ = std::move(last_new);
-  for (auto qit = queue_.begin(); qit != queue_.end();) {
-    const auto lit = last_exec_.find(qit->client);
-    if (lit != last_exec_.end() && qit->seq <= lit->second) {
-      pending_keys_.erase({qit->client, qit->seq});
-      queue_bytes_ -= request_wire_size(*qit);
-      qit = queue_.erase(qit);
-    } else {
-      ++qit;
-    }
-  }
+  scrub_queue();
 
   // Jump the log: everything below `slot` is summarized by the cert.
   // exec_payloads_ keeps only locally-executed payloads (documented gap).
@@ -651,9 +642,8 @@ void SmrReplica::recover_from_wal() {
     log_base_ = state.slot;
     chain_ = state.log_digest;
     exec_count_ = state.exec_count;
-    last_exec_ =
-        std::map<std::uint64_t, std::uint64_t>(state.last_exec.begin(),
-                                               state.last_exec.end());
+    dedup_ = std::map<std::uint64_t, ReplayWindow>(state.dedup.begin(),
+                                                   state.dedup.end());
     next_open_ = state.slot;
     max_seen_slot_ = state.slot;
     stable_slot_ = state.slot;
@@ -710,6 +700,19 @@ void SmrReplica::send_hint(ReplicaId to, std::uint64_t slot) {
   host_.send(to, kSmrHintTag, it->second);
 }
 
+void SmrReplica::pull_lost_traffic() {
+  if (!lost_traffic_ || recovering_) return;
+  if (exec_slots() >= max_seen_slot_) {
+    lost_traffic_ = false;  // caught up
+    return;
+  }
+  if (exec_slots() < pulled_upto_) return;  // the last answer still covers
+  pulled_upto_ = exec_slots() + cfg_.pipeline.window;
+  Writer w;
+  w.u64(exec_slots());
+  host_.broadcast(kSmrPullTag, std::move(w).take());
+}
+
 void SmrReplica::send_state(ReplicaId to) {
   if (!stable_.has_value()) return;
   Writer w;
@@ -723,9 +726,19 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   const std::uint64_t slot = r.u64();
   const std::uint8_t inner_tag = r.u8();
   Bytes inner = r.raw(r.remaining());
-  if (slot >= cfg_.pipeline.max_slots) return;  // out of configured range
   max_seen_slot_ = std::max(max_seen_slot_, slot + 1);
 
+  auto it = instances_.find(slot);
+  if (it != instances_.end() && slot < exec_slots() &&
+      (inner_tag == net::tags::kPrepare || inner_tag == net::tags::kCommit)) {
+    // A late vote for a slot executed here, while its instance is still
+    // live: the sender is almost always just slower than our quorum, not
+    // behind, so the instance absorbs it and no hint is signed. A sender
+    // that really is behind pulls, or times out into a view change whose
+    // Wish is answered with hints below.
+    it->second->on_message(from, inner_tag, inner);
+    return;
+  }
   if (slot < log_base_) {
     // Truncated here: the sender is behind our stable checkpoint — the
     // certified summary is the only answer we still have.
@@ -739,7 +752,6 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
     return;
   }
 
-  auto it = instances_.find(slot);
   if (it == instances_.end() && slot >= next_open_ && slot < open_limit()) {
     open_slots_through(slot);
     it = instances_.find(slot);
@@ -752,7 +764,11 @@ void SmrReplica::handle_slot_envelope(ReplicaId from, const Bytes& payload) {
   // horizon, bounded per slot to resist flooding. Either way the sender
   // is ahead of us — make sure the catch-up pull is running.
   arm_catchup();
-  if (slot >= horizon()) return;
+  if (slot >= horizon()) {
+    lost_traffic_ = true;
+    pull_lost_traffic();
+    return;
+  }
   auto& bucket = buffered_[slot];
   if (bucket.size() < kMaxBufferedPerSlot) {
     bucket.push_back(Buffered{from, inner_tag, std::move(inner)});
@@ -773,7 +789,6 @@ void SmrReplica::handle_hint(ReplicaId from, const Bytes& payload) {
   Bytes value = r.bytes();
   Bytes signature = r.bytes();
   r.expect_exhausted();
-  if (slot >= cfg_.pipeline.max_slots) return;
   max_seen_slot_ = std::max(max_seen_slot_, slot + 1);
   if (slot < exec_slots() || slot >= horizon()) return;
   if (!is_valid_batch(value, limits_)) return;
@@ -829,9 +844,7 @@ void SmrReplica::handle_ckpt_vote(ReplicaId from, const Bytes& payload) {
   const std::uint64_t interval = cfg_.pipeline.checkpoint_interval;
   if (vote.signer != from) return;  // channel and signature must agree
   if (interval == 0 || vote.slot % interval != 0) return;
-  if (vote.slot <= stable_slot_ || vote.slot > cfg_.pipeline.max_slots) {
-    return;
-  }
+  if (vote.slot <= stable_slot_) return;
   const Bytes msg = checkpoint_signing_bytes(vote.slot, vote.state_digest);
   if (!cfg_.suite->verify(span(cfg_.public_keys[vote.signer]), span(msg),
                           span(vote.signature))) {
@@ -852,7 +865,6 @@ void SmrReplica::handle_state(ReplicaId from, const Bytes& payload) {
   CheckpointCert cert = CheckpointCert::decode(r);
   r.expect_exhausted();
   if (state.slot <= exec_slots()) return;  // not ahead of us
-  if (state.slot > cfg_.pipeline.max_slots) return;
   if (cert.slot != state.slot || cert.state_digest != state.digest()) return;
   if (!verify_checkpoint_cert(cert, cfg_.n, cfg_.f, *cfg_.suite,
                               cfg_.public_keys)) {
@@ -1049,10 +1061,6 @@ void SmrReplica::handle_read_index(ReplicaId from, const Bytes& payload) {
   } else if (kind == kReadIndexAttestKind) {
     const ReadIndexAttest attest = ReadIndexAttest::decode(span(payload));
     if (attest.requester != cfg_.id || attest.signer != from) return;
-    // Byzantine inflation bound: a watermark beyond the configured slot
-    // range could park the read forever; the timeout would clean it up,
-    // but there is no reason to even count it.
-    if (attest.watermark > cfg_.pipeline.max_slots) return;
     if (read_index_waits_.count(attest.rid) == 0) return;
     if (!attest.verify(*cfg_.suite, cfg_.public_keys, cfg_.n)) return;
     read_index_waits_[attest.rid].marks.emplace(attest.signer,

@@ -10,14 +10,19 @@
 //
 //  - A slot decides a `Batch` of client requests (smr/batch.hpp), not a
 //    single opaque command; requests carry (client id, seq) so replayed
-//    requests are deduplicated via a per-client last-executed table.
+//    requests are deduplicated via a per-client anti-replay window
+//    (smr/replay_window.hpp), which also lets a pipelined client's
+//    reordered low seq execute after its higher ones.
 //  - Slots [exec, exec + window) run concurrently; execution is strictly
 //    in slot order. Decisions that land out of order buffer until the gap
 //    fills.
-//  - Slot opening is demand-driven: a slot opens when this replica has a
-//    full batch ready, when its pacing timer (batch_timeout) expires with
-//    requests queued, or when consensus traffic for the slot arrives from
-//    a peer. An idle system opens no slots and burns no no-op fillers.
+//  - Slot opening is demand-driven (batch while busy): a slot opens at
+//    once when this replica has a full batch ready or when no slot is in
+//    flight, so a lone request never waits on a timer. A partial batch
+//    queued behind an in-flight slot opens when execution drains the
+//    pipeline or when the pacing timer (batch_timeout) expires, whichever
+//    comes first. Consensus traffic for a slot from a peer opens it too.
+//    An idle system opens no slots and burns no no-op fillers.
 //  - Submissions at a non-leader replica are forwarded to the round-robin
 //    view-1 leader so they land in the next batch without waiting for a
 //    view change; the local copy is kept as a liveness fallback.
@@ -27,13 +32,18 @@
 //
 // Certified catch-up and durability (smr/checkpoint.hpp, store/wal.hpp):
 //
-//  - Late traffic for an executed slot is answered with a decided-value
-//    hint SIGNED over (slot, value digest); a replica adopts a hinted
-//    value once f + 1 hints verify against f + 1 distinct replicas' public
-//    keys (at least one correct), so vouchers cannot be forged by a peer
-//    that spoofs sender ids.
+//  - Late Prepare/Commit traffic for an executed slot lands in the slot's
+//    still-live instance, so a healthy cluster signs few hints; other late
+//    traffic, and any traffic once the instance retired, is answered with
+//    a decided-value hint SIGNED over (slot, value digest). A replica
+//    adopts a hinted value once f + 1 hints verify against f + 1 distinct
+//    replicas' public keys (at least one correct), so vouchers cannot be
+//    forged by a peer that spoofs sender ids.
+//  - A replica behind by more than the buffering horizon (two windows)
+//    drops that traffic and pulls hints a window at a time until it is
+//    caught up; a replica that merely stalls pulls every catchup_timeout.
 //  - Every `checkpoint_interval` executed slots the replica broadcasts a
-//    signed vote over its state digest (chained log digest + dedup table
+//    signed vote over its state digest (chained log digest + dedup windows
 //    + next-exec slot); 2f + 1 matching votes form a CheckpointCert. The
 //    stable checkpoint truncates the retained slot log (memory and, with
 //    a WAL, disk stay O(interval + window) instead of O(log length)).
@@ -73,6 +83,7 @@
 #include "smr/checkpoint.hpp"
 #include "smr/read_view.hpp"
 #include "smr/reads.hpp"
+#include "smr/replay_window.hpp"
 #include "store/wal.hpp"
 
 namespace probft::smr {
@@ -98,12 +109,17 @@ struct SmrOptions {
   /// encoded bytes. batch_max_commands = 1 reproduces one-command slots.
   std::uint32_t batch_max_commands = 64;
   std::size_t batch_max_bytes = 256 * 1024;
-  /// Pacing: with a non-empty but not-full queue, a slot opens after this
-  /// long (µs) instead of waiting for the batch to fill.
+  /// Pacing while busy: a partial batch queued while a slot is in flight
+  /// opens after this long (µs) unless execution drains the pipeline
+  /// first. With no slot in flight a partial batch opens at once. The
+  /// timer stays for the stalled pipeline: when the in-flight slot waits
+  /// on a view change, later requests would otherwise sit until a full
+  /// batch accumulates (leader-crash write p50 1.67 s without the timer,
+  /// 1.46 s with it, on the wall-clock benchmark).
   Duration batch_timeout = 20'000;
   /// Executed slots keep their instance for this many further slots
-  /// before retirement (late NewLeader traffic lands there); beyond it,
-  /// traffic is answered with hints.
+  /// before retirement (late Prepare/Commit traffic lands there); beyond
+  /// it, traffic is answered with hints.
   std::uint32_t retire_tail = 2;
   /// While execution trails slots known to exist (opened locally, or
   /// merely observed in peer traffic — the gap may exceed the window),
@@ -116,9 +132,6 @@ struct SmrOptions {
   /// peer forwards combined); beyond it, enqueue rejects — backpressure
   /// instead of unbounded memory under a forward flood.
   std::size_t max_pending_requests = 8192;
-  /// Hard cap on the number of slots this replica will open (bounds the
-  /// simulation; a production deployment would run unbounded).
-  std::uint64_t max_slots = 1024;
   /// Checkpoint every this many executed slots (0 disables). A stable
   /// checkpoint (2f + 1 matching votes) truncates the retained slot log
   /// below it, in memory and in the WAL.
@@ -226,9 +239,10 @@ class SmrReplica : public core::INode {
   void submit(Bytes command);
 
   /// Client-path entry: enqueues (client, seq, payload) for ordering.
-  /// Returns false — and enqueues nothing — for duplicates (seq not past
-  /// the client's last executed or already pending) and for payloads that
-  /// cannot fit a batch. Retries are therefore idempotent.
+  /// Returns false — and enqueues nothing — for duplicates (seq already
+  /// executed, older than the client's replay window, or already pending)
+  /// and for payloads that cannot fit a batch. Retries are therefore
+  /// idempotent.
   bool submit_request(std::uint64_t client, std::uint64_t seq, Bytes payload);
 
   /// Outcome of a read served off the ordered log.
@@ -293,8 +307,12 @@ class SmrReplica : public core::INode {
     return queue_.size() + assigned_count_;
   }
   [[nodiscard]] bool has_committed(const Bytes& payload) const;
-  /// Last executed seq for `client` (0 if none) — the dedup table.
+  /// Highest executed seq for `client` (0 if none).
   [[nodiscard]] std::uint64_t last_executed_seq(std::uint64_t client) const;
+  /// Whether (client, seq) executed here — or is too old for the
+  /// client's replay window, which counts as executed.
+  [[nodiscard]] bool has_executed(std::uint64_t client,
+                                  std::uint64_t seq) const;
   /// Whether (client, seq) is queued or assigned to an in-flight slot —
   /// i.e. a submit_request(...) == false was a retry of live work, not a
   /// rejection. Serving nodes use this to keep reply routes alive.
@@ -328,6 +346,16 @@ class SmrReplica : public core::INode {
   }
 
   [[nodiscard]] bool enqueue(Request request);
+  [[nodiscard]] bool executed(const Request& request) const {
+    return has_executed(request.client, request.seq);
+  }
+  /// Puts the requests of `mine` (this replica's assignment for a slot
+  /// that decided or was skipped) back at the queue head, in order,
+  /// except those that executed meanwhile.
+  void requeue(Batch mine);
+  /// Drops queued requests that executed meanwhile (in another
+  /// replica's batch, or under an adopted checkpoint).
+  void scrub_queue();
   [[nodiscard]] bool full_batch_ready() const;
   void maybe_open_slots(bool pace_expired);
   void open_slots_through(std::uint64_t slot);
@@ -344,6 +372,14 @@ class SmrReplica : public core::INode {
   void send_hint(ReplicaId to, std::uint64_t slot);
   void send_state(ReplicaId to);
   void arm_catchup();
+  /// Once traffic beyond the horizon was dropped, this replica is more
+  /// than two windows behind and can only finish those slots from hints:
+  /// pull a window at once, and the next one as soon as execution passes
+  /// it, instead of waiting for the catch-up timer to see a stall. At
+  /// high slot rates a ~20 ms stall is enough to fall that far behind,
+  /// and the timer alone then left a replica behind for up to two
+  /// catchup_timeout periods after the load stopped.
+  void pull_lost_traffic();
   /// `view` is the consensus view the slot decided in; 0 when unknown
   /// (hint adoption, WAL replay) — anything but view 1 poisons a lease.
   void on_slot_decided(std::uint64_t slot, const Bytes& value, View view);
@@ -390,7 +426,7 @@ class SmrReplica : public core::INode {
   /// it (snapshot + retained tail) and truncates the log below it.
   void stabilize(CheckpointState state, CheckpointCert cert);
   /// Adopts a VERIFIED checkpoint ahead of our execution (state
-  /// transfer): replaces the dedup table, jumps the log base, requeues
+  /// transfer): replaces the dedup windows, jumps the log base, requeues
   /// own still-unexecuted assignments from skipped slots.
   void install_checkpoint(CheckpointState state, CheckpointCert cert);
   /// Restores state from cfg_.wal (constructor path).
@@ -409,7 +445,7 @@ class SmrReplica : public core::INode {
   Bytes chain_;                        // chained digest at exec_slots()
   std::uint64_t exec_count_ = 0;       // commands executed (incl. recovery)
   std::vector<Bytes> exec_payloads_;  // locally executed payloads, in order
-  std::map<std::uint64_t, std::uint64_t> last_exec_;  // client → seq
+  std::map<std::uint64_t, ReplayWindow> dedup_;  // client → executed seqs
 
   // -- checkpoints --
   /// Own state snapshots at interval boundaries, awaiting 2f+1 votes:
@@ -443,6 +479,11 @@ class SmrReplica : public core::INode {
   /// it, this replica is behind and the catch-up pull keeps running —
   /// including when the gap is wider than the open window.
   std::uint64_t max_seen_slot_ = 0;
+  /// Set when traffic beyond the horizon was dropped; cleared once
+  /// execution reaches max_seen_slot_ (see pull_lost_traffic()).
+  bool lost_traffic_ = false;
+  /// Exclusive end of the window the last lost-traffic pull asked for.
+  std::uint64_t pulled_upto_ = 0;
 
   // -- in-flight slots --
   std::uint64_t next_open_ = 0;  // lowest never-opened slot

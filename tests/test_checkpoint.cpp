@@ -44,7 +44,7 @@ TEST(Checkpoint, StateRoundTripsAndDigestCoversEverything) {
   state.slot = 16;
   state.exec_count = 40;
   state.log_digest = chain_digest(zero_digest(), to_bytes("x"));
-  state.last_exec = {{1, 7}, {5, 2}, {9, 11}};
+  state.dedup = {{1, {7, 0x7f}}, {5, {2, 0x1}}, {9, {11, 0x5}}};
   Writer w;
   state.encode(w);
   const Bytes encoded = std::move(w).take();
@@ -53,11 +53,14 @@ TEST(Checkpoint, StateRoundTripsAndDigestCoversEverything) {
   EXPECT_EQ(back.slot, state.slot);
   EXPECT_EQ(back.exec_count, state.exec_count);
   EXPECT_EQ(back.log_digest, state.log_digest);
-  EXPECT_EQ(back.last_exec, state.last_exec);
+  EXPECT_EQ(back.dedup, state.dedup);
   EXPECT_EQ(back.digest(), state.digest());
 
   CheckpointState tweaked = state;
-  tweaked.last_exec[1].second = 3;
+  tweaked.dedup[1].second.top = 3;
+  EXPECT_NE(tweaked.digest(), state.digest());
+  tweaked = state;
+  tweaked.dedup[2].second.bits = 0x7;  // the window's bitmap counts too
   EXPECT_NE(tweaked.digest(), state.digest());
 }
 
@@ -65,7 +68,19 @@ TEST(Checkpoint, StateDecodeRejectsUnsortedDedupTable) {
   CheckpointState state;
   state.slot = 4;
   state.log_digest = zero_digest();
-  state.last_exec = {{5, 1}, {2, 1}};  // descending client ids: invalid
+  state.dedup = {{5, {1, 1}}, {2, {1, 1}}};  // descending client ids
+  Writer w;
+  state.encode(w);
+  const Bytes encoded = std::move(w).take();
+  Reader r(span(encoded));
+  EXPECT_THROW(CheckpointState::decode(r), CodecError);
+}
+
+TEST(Checkpoint, StateDecodeRejectsWindowWithoutItsTop) {
+  CheckpointState state;
+  state.slot = 4;
+  state.log_digest = zero_digest();
+  state.dedup = {{5, {3, 0x2}}};  // top seq 3 not marked executed
   Writer w;
   state.encode(w);
   const Bytes encoded = std::move(w).take();
@@ -293,7 +308,7 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
   state.slot = 8;
   state.exec_count = 11;
   state.log_digest = chain_digest(zero_digest(), to_bytes("fake-history"));
-  state.last_exec = {{3, 4}};
+  state.dedup = {{3, {4, 0xb}}};  // client 3: seqs 1, 3 and 4 executed
   const Bytes digest = state.digest();
   const Bytes msg = checkpoint_signing_bytes(state.slot, digest);
   const auto cert_of = [&](std::vector<ReplicaId> signers) {
@@ -328,6 +343,9 @@ TEST(CheckpointFleet, CertifiedStateTransferJumpsAStraggler) {
   EXPECT_EQ(fleet.replica(1).log_base(), 8u);
   EXPECT_EQ(fleet.replica(1).stable_checkpoint(), 8u);
   EXPECT_EQ(fleet.replica(1).last_executed_seq(3), 4u);
+  // The adopted window, not just its top: seq 2 may still execute.
+  EXPECT_TRUE(fleet.replica(1).has_executed(3, 3));
+  EXPECT_FALSE(fleet.replica(1).has_executed(3, 2));
   EXPECT_EQ(fleet.replica(1).log_digest(), to_hex(state.log_digest));
 }
 

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "smr/replay_window.hpp"
 #include "smr/smr_replica.hpp"
 #include "smr_test_util.hpp"
 
@@ -117,15 +119,44 @@ TEST(Smr, IdleFleetOpensNoSlots) {
   EXPECT_EQ(fleet.network().stats().sends, 0U);
 }
 
-TEST(Smr, PacingTimerFlushesPartialBatch) {
+TEST(Smr, IdleFleetExecutesLoneSubmitBeforePacingTimeout) {
+  // Nothing in flight: a partial batch opens at once instead of waiting
+  // out the pacing timer, so a lone request costs one ordering round.
+  SmrOptions options;
+  options.batch_max_commands = 64;  // never fills
+  options.batch_timeout = 1'000'000;
+  Fleet fleet(4, 0, 2.0, options);
+  fleet.start();
+  fleet.simulator().run_until(50'000);
+  const TimePoint submitted = fleet.simulator().now();
+  fleet.replica(2).submit(to_bytes("lonely"));  // forwarded to leader 1
+  ASSERT_TRUE(
+      fleet.run_until_executed(1, submitted + options.batch_timeout));
+  EXPECT_EQ(fleet.replica(3).log()[0], to_bytes("lonely"));
+}
+
+TEST(Smr, PacingTimerFlushesPartialBatchBehindInFlightSlot) {
   SmrOptions options;
   options.batch_max_commands = 64;  // never fills
   options.batch_timeout = 10'000;
   Fleet fleet(4, 0, 2.0, options);
-  fleet.replica(1).submit(to_bytes("lonely"));
+  // A network outage holds slot 0 in flight: nothing it sends arrives.
+  fleet.network().set_filter(
+      [](ReplicaId, ReplicaId, std::uint8_t) { return true; });
   fleet.start();
-  ASSERT_TRUE(fleet.run_until_executed(1));
-  EXPECT_EQ(fleet.replica(2).log()[0], to_bytes("lonely"));
+  SmrReplica& leader = fleet.replica(1);
+  const TimePoint t0 = fleet.simulator().now();
+  leader.submit(to_bytes("first"));   // idle pipeline: slot 0 opens now
+  leader.submit(to_bytes("second"));  // behind slot 0: paced
+  EXPECT_EQ(leader.next_unopened_slot(), 1U);
+  fleet.simulator().run_until(t0 + options.batch_timeout);
+  EXPECT_EQ(leader.next_unopened_slot(), 1U);
+  fleet.simulator().run_until(t0 + options.batch_timeout + 1);
+  EXPECT_EQ(leader.next_unopened_slot(), 2U);  // the timer flushed it
+  EXPECT_EQ(leader.committed_slots(), 0U);     // slot 0 still in flight
+  fleet.network().clear_filter();
+  ASSERT_TRUE(fleet.run_until_executed(2));
+  EXPECT_TRUE(fleet.replica(2).has_committed(to_bytes("second")));
 }
 
 TEST(Smr, RetriedRequestExecutesExactlyOnce) {
@@ -158,17 +189,66 @@ TEST(Smr, DuplicateSubmitRejectedLocally) {
   ASSERT_TRUE(fleet.run_until_executed(1));
   // Post-execution retry is also a no-op.
   EXPECT_FALSE(fleet.replica(1).submit_request(7, 3, to_bytes("x")));
-  EXPECT_FALSE(fleet.replica(1).submit_request(7, 2, to_bytes("old")));
+  // A seq at or below 64 under the highest executed one counts as
+  // executed (outside the replay window).
+  EXPECT_TRUE(fleet.replica(1).submit_request(8, 100, to_bytes("top")));
+  ASSERT_TRUE(fleet.run_until_executed(2));
+  EXPECT_FALSE(fleet.replica(1).submit_request(8, 36, to_bytes("old")));
+  EXPECT_TRUE(fleet.replica(1).submit_request(8, 37, to_bytes("in")));
+}
+
+TEST(Smr, ReplayWindowTracksTheLast64Seqs) {
+  ReplayWindow w;
+  EXPECT_FALSE(w.executed(0));
+  EXPECT_FALSE(w.executed(5));
+  w.mark(5);
+  EXPECT_TRUE(w.executed(5));
+  EXPECT_FALSE(w.executed(4));
+  EXPECT_FALSE(w.executed(6));
+  w.mark(3);
+  EXPECT_TRUE(w.executed(3));
+  EXPECT_FALSE(w.executed(4));
+  w.mark(70);  // slides by 65: everything at or below 6 falls out
+  EXPECT_TRUE(w.executed(70));
+  EXPECT_FALSE(w.executed(7));
+  EXPECT_TRUE(w.executed(6));  // too old: treated as executed
+  EXPECT_EQ(w.bits, 1U);
+  w.mark(71);
+  EXPECT_TRUE(w.executed(70));
+  EXPECT_EQ(w.top, 71U);
+}
+
+TEST(Smr, PipelinedClientLowSeqExecutesAfterHigherOnes) {
+  // Seqs 2 and 3 execute first (as when the slot holding seq 1 decided
+  // another batch); seq 1 must still execute, exactly once.
+  Fleet fleet(4);
+  std::vector<std::uint64_t> order;
+  fleet.set_on_execute(
+      [&order](ReplicaId id, shard::ShardId, const ExecutedCommand& cmd) {
+        if (id == 2) order.push_back(cmd.seq);
+      });
+  fleet.start();
+  EXPECT_TRUE(fleet.replica(1).submit_request(7, 2, to_bytes("b")));
+  EXPECT_TRUE(fleet.replica(1).submit_request(7, 3, to_bytes("c")));
+  ASSERT_TRUE(fleet.run_until_executed(2));
+  EXPECT_TRUE(fleet.replica(1).submit_request(7, 1, to_bytes("a")));
+  ASSERT_TRUE(fleet.run_until_executed(3));
+  fleet.simulator().run_until(fleet.simulator().now() + 2'000'000);
+  EXPECT_FALSE(fleet.replica(1).submit_request(7, 1, to_bytes("a")));
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 3, 1}));
+  for (ReplicaId id = 1; id <= 4; ++id) {
+    EXPECT_EQ(fleet.replica(id).executed_commands(), 3U) << "replica " << id;
+    EXPECT_TRUE(fleet.replica(id).has_executed(7, 1));
+  }
 }
 
 TEST(Smr, RetirementBoundsLiveInstances) {
-  // Regression for the unbounded instances_ map: a long log (max_slots ≫
+  // Regression for the unbounded instances_ map: a long log (length ≫
   // window) must not keep every decided core::Replica alive.
   SmrOptions options;
   options.window = 4;
   options.batch_max_commands = 1;
   options.retire_tail = 2;
-  options.max_slots = 1024;
   Fleet fleet(4, 0, 2.0, options);
   for (int i = 0; i < 48; ++i) {
     fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
@@ -252,6 +332,36 @@ TEST(Smr, StragglerCatchesUpFromBeyondTheWindow) {
   ASSERT_TRUE(fleet.run_until_executed(9));
   EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
   EXPECT_EQ(fleet.replica(6).committed_slots(), 9U);
+}
+
+TEST(Smr, StragglerBeyondTheHorizonPullsWithoutWaitingForTheTimer) {
+  // Traffic for slots beyond the buffering horizon is dropped, so those
+  // slots can only finish from hints: the straggler pulls at once and
+  // chains a pull per window as it executes — here the catch-up timer is
+  // far too slow to be what rescues it.
+  SmrOptions options;
+  options.window = 2;
+  options.batch_max_commands = 1;
+  options.retire_tail = 0;
+  options.catchup_timeout = 3'600'000'000;  // one hour
+  Fleet fleet(6, 0, 2.0, options);
+  fleet.network().set_filter([](ReplicaId from, ReplicaId to, std::uint8_t) {
+    return from == 6 || to == 6;
+  });
+  for (int i = 0; i < 8; ++i) {
+    fleet.replica(1).submit(to_bytes("op-" + std::to_string(i)));
+  }
+  fleet.start();
+  ASSERT_TRUE(fleet.run_until(
+      [&fleet] { return fleet.replica(1).executed_commands() == 8; },
+      150'000'000));
+  ASSERT_EQ(fleet.replica(6).executed_commands(), 0U);
+
+  fleet.network().clear_filter();
+  fleet.replica(1).submit(to_bytes("after-heal"));
+  ASSERT_TRUE(fleet.run_until_executed(9, fleet.simulator().now() +
+                                              10'000'000));
+  EXPECT_EQ(fleet.replica(6).log(), fleet.replica(1).log());
 }
 
 TEST(Smr, ForwardFloodIsBounded) {

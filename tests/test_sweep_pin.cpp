@@ -22,6 +22,7 @@ namespace {
 std::string transcript_sha256(const ScenarioSpec& spec, std::uint64_t seed) {
   const ScenarioOutcome out = run_scenario(spec, seed);
   EXPECT_TRUE(out.terminated) << scenario_name(spec) << " seed " << seed;
+  EXPECT_TRUE(out.agreement) << scenario_name(spec) << " seed " << seed;
   crypto::Sha256 h;
   h.update(ByteSpan(
       reinterpret_cast<const std::uint8_t*>(out.transcript.data()),
@@ -60,6 +61,10 @@ TEST(SweepPin, N500ViewChangeTranscriptUnchanged) {
       "84bc39c7d269931d9c9d6527623e6a83cdbc45ce43cc521c313907ea47ebaf9f");
 }
 
+// Re-pinned once, on purpose: a partial batch now opens at once on an
+// idle pipeline instead of after the pacing timer, which changes slot
+// contents (69f2fe25f46c75cbc6ed649e632473d8d57423ea023c38b9e582a3dc36273bcf
+// before). run_scenario_smr's exactly-once check holds on the new run.
 TEST(SweepPin, SmrFleetTranscriptUnchanged) {
   ScenarioSpec spec;
   spec.protocol = Protocol::kProbft;
@@ -69,7 +74,7 @@ TEST(SweepPin, SmrFleetTranscriptUnchanged) {
   spec.workload = Workload::kSmr;
   EXPECT_EQ(
       transcript_sha256(spec, 1),
-      "69f2fe25f46c75cbc6ed649e632473d8d57423ea023c38b9e582a3dc36273bcf");
+      "a53d99e8b74b339fa46d34990e6ca43a01c88758e5b9b616a4ee906c03cefb10");
 }
 
 }  // namespace
