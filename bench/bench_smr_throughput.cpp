@@ -37,12 +37,9 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/verify_pool.hpp"
 #include "sim/smr_fleet.hpp"
-#include "smr/preverify.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
 
@@ -218,239 +215,6 @@ double kcmd_per_vsec(const FleetRun& run, std::uint64_t commands) {
          static_cast<double>(run.all_done) / 1e3;
 }
 
-// ---- --verify-threads sweep: record-and-replay admission throughput ----
-//
-// The multi-core replica's verification pool cannot be measured inside
-// the deterministic simulator (it is single-threaded by design), so the
-// sweep uses record-and-replay: run one n-replica fleet under REAL
-// Ed25519 + ECVRF, record every wire message one follower receives, then
-// replay that exact inbound trace into a fresh replica whose admission
-// runs through a core::VerifyPool at various thread counts. Wall-clock
-// commits/sec measures the pool; the chained log digest must equal the
-// recorded fleet's digest for every thread count (the pool is
-// semantically invisible or it is broken).
-
-struct RecordedTrace {
-  struct Msg {
-    ReplicaId from = 0;
-    std::uint8_t tag = 0;
-    Bytes payload;
-  };
-  std::vector<Msg> inbound;  // the follower's wire traffic, in order
-  std::string digest;        // log digest the follower reached
-  std::uint64_t executed = 0;
-  std::uint32_t n = 0;
-  std::uint64_t seed = 0;
-  ReplicaId target = 0;
-  smr::SmrOptions options;
-  bool completed = false;
-};
-
-RecordedTrace record_trace(std::uint32_t n, smr::SmrOptions options,
-                           std::uint64_t commands, std::uint64_t seed,
-                           ReplicaId target) {
-  const auto suite = crypto::make_ed25519_suite();
-  sim::SmrFleetConfig cfg;
-  cfg.n = n;
-  cfg.seed = seed;
-  cfg.suite = suite.get();
-  cfg.options = options;
-  sim::SmrFleet fleet(std::move(cfg));
-
-  RecordedTrace trace;
-  trace.n = n;
-  trace.seed = seed;
-  trace.target = target;
-  trace.options = options;
-  // Tap the follower's inbound wire traffic on its way into the node.
-  fleet.network().register_handler(
-      target, [&fleet, &trace, target](ReplicaId from, std::uint8_t tag,
-                                       const Bytes& m) {
-        trace.inbound.push_back({from, tag, m});
-        fleet.node(target).on_message(from, tag, m);
-      });
-
-  for (std::uint64_t i = 1; i <= commands; ++i) {
-    (void)fleet.node(1).submit_request(9001, i,
-                                       to_bytes("op-" + std::to_string(i)));
-  }
-  fleet.start();
-  trace.completed = fleet.run_until_executed(commands, 600'000'000);
-  trace.digest = fleet.node(target).group(0).log_digest();
-  trace.executed = fleet.node(target).executed_commands();
-  return trace;
-}
-
-double dquantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t idx = std::min(
-      values.size() - 1,
-      static_cast<std::size_t>(q * static_cast<double>(values.size())));
-  return values[idx];
-}
-
-struct ReplayResult {
-  unsigned threads = 0;
-  double wall_ms = 0.0;
-  double kcmd_per_sec = 0.0;       // executed commands / wall second
-  double kcmd_per_sec_core = 0.0;  // per core: tput / (1 + threads)
-  double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;  // submit→ready
-  bool digest_ok = false;
-  std::uint64_t executed = 0;
-};
-
-ReplayResult replay_trace(const RecordedTrace& trace, unsigned threads) {
-  const auto suite = crypto::make_ed25519_suite();
-  const sim::DerivedKeys keys = sim::derive_keys(*suite, trace.n, trace.seed);
-
-  auto cache = std::make_shared<core::VerdictCache>(/*thread_safe=*/true);
-  smr::SmrConfig cfg;
-  cfg.id = trace.target;
-  cfg.n = trace.n;
-  cfg.f = 0;
-  cfg.pipeline = trace.options;
-  cfg.suite = suite.get();
-  cfg.secret_key = keys.pairs[trace.target].secret_key;
-  cfg.public_keys = keys.public_keys;
-  cfg.verdicts = cache;
-  cfg.sync.base_timeout = 100'000;
-  core::ProtocolHost host;  // outbound traffic goes nowhere: pure follower
-  host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
-  host.broadcast = [](std::uint8_t, const Bytes&) {};
-  host.set_timer = [](Duration, std::function<void()>) {};
-  smr::SmrReplica replica(std::move(cfg), host);
-
-  core::PreverifyContext ctx;
-  {
-    core::ReplicaConfig rc;  // derive sample_size exactly as the replica
-    rc.n = trace.n;
-    rc.f = 0;
-    ctx.sample_size = rc.sample_size();
-  }
-  ctx.n = trace.n;
-  ctx.suite = suite.get();
-  ctx.public_keys = keys.public_keys;
-  core::VerifyPool pool(ctx, cache, threads, smr::preverify_tasks);
-  pool.record_latencies(true);
-
-  replica.start();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& m : trace.inbound) pool.submit(m.from, m.tag, m.payload);
-  std::size_t delivered = 0;
-  while (delivered < trace.inbound.size()) {
-    pool.wait_ready();
-    delivered += pool.drain(
-        [&replica](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          replica.on_message(from, tag, m);
-        });
-  }
-  ReplayResult result;
-  result.threads = threads;
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  result.executed = replica.executed_commands();
-  result.digest_ok = replica.log_digest() == trace.digest &&
-                     result.executed == trace.executed;
-  if (result.wall_ms > 0) {
-    result.kcmd_per_sec = static_cast<double>(result.executed) /
-                          (result.wall_ms / 1e3) / 1e3;
-    result.kcmd_per_sec_core =
-        result.kcmd_per_sec / static_cast<double>(1 + threads);
-  }
-  auto lat = pool.take_latencies_us();
-  result.p50_us = dquantile(lat, 0.5);
-  result.p95_us = dquantile(lat, 0.95);
-  result.p99_us = dquantile(lat, 0.99);
-  return result;
-}
-
-constexpr unsigned kVerifySweepThreads[] = {0, 1, 2, 4};
-
-std::vector<ReplayResult> verify_sweep(std::uint32_t n,
-                                       std::uint64_t commands,
-                                       RecordedTrace* trace_out = nullptr) {
-  smr::SmrOptions options;
-  options.window = 8;
-  options.batch_max_commands = 16;
-  const RecordedTrace trace =
-      record_trace(n, options, commands, /*seed=*/1, /*target=*/2);
-  std::vector<ReplayResult> rows;
-  for (const unsigned threads : kVerifySweepThreads) {
-    rows.push_back(replay_trace(trace, threads));
-  }
-  if (trace_out != nullptr) *trace_out = trace;
-  return rows;
-}
-
-void print_verify_sweep(std::uint32_t n, std::uint64_t commands) {
-  std::printf(
-      "\n================================================================\n"
-      "Verification pool — replaying one follower's recorded Ed25519\n"
-      "wire trace (n = %u, %llu commands) through a core::VerifyPool\n"
-      "(threads = 0 is inline single-threaded admission; %u cores here)\n"
-      "================================================================\n",
-      n, static_cast<unsigned long long>(commands),
-      std::thread::hardware_concurrency());
-  std::printf("%-9s %-10s %-14s %-9s %-9s %-9s %-9s %s\n", "threads",
-              "kcmd/sec", "kcmd/sec/core", "speedup", "p50-us", "p95-us",
-              "p99-us", "digest");
-  const auto rows = verify_sweep(n, commands);
-  const double base = rows.empty() ? 0.0 : rows.front().kcmd_per_sec;
-  for (const auto& row : rows) {
-    std::printf("%-9u %-10.2f %-14.2f %-9.2f %-9.0f %-9.0f %-9.0f %s\n",
-                row.threads, row.kcmd_per_sec, row.kcmd_per_sec_core,
-                base > 0 ? row.kcmd_per_sec / base : 0.0, row.p50_us,
-                row.p95_us, row.p99_us,
-                row.digest_ok ? "identical" : "DIFFERS (BUG)");
-  }
-}
-
-/// CI gate for the pool: digest identity is enforced unconditionally on
-/// any machine; the ≥ bound_x speedup for 4 worker threads additionally
-/// requires a runner with at least 4 cores (a 1-core container cannot
-/// demonstrate parallel speedup and must not fail the build for it).
-int run_verify_smoke(std::uint32_t n, std::uint64_t commands,
-                     double bound_x) {
-  RecordedTrace trace;
-  const auto rows = verify_sweep(n, commands, &trace);
-  if (!trace.completed || trace.executed < commands) {
-    std::fprintf(stderr, "verify smoke: recording fleet did not finish\n");
-    return 2;
-  }
-  const double base = rows.front().kcmd_per_sec;
-  double at4 = 0.0;
-  for (const auto& row : rows) {
-    std::printf("verify smoke: threads=%u kcmd/sec=%.2f digest_ok=%d\n",
-                row.threads, row.kcmd_per_sec, row.digest_ok ? 1 : 0);
-    if (!row.digest_ok) {
-      std::fprintf(stderr,
-                   "verify smoke: digest diverged at threads=%u — the pool "
-                   "changed protocol behavior\n",
-                   row.threads);
-      return 2;
-    }
-    if (row.threads == 4) at4 = row.kcmd_per_sec;
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 4) {
-    const double speedup = base > 0 ? at4 / base : 0.0;
-    std::printf("verify smoke: speedup@4=%.2fx bound=%.1fx cores=%u\n",
-                speedup, bound_x, cores);
-    if (speedup < bound_x) {
-      std::fprintf(stderr, "verify smoke: speedup %.2fx below %.1fx\n",
-                   speedup, bound_x);
-      return 1;
-    }
-  } else {
-    std::printf("verify smoke: %u cores < 4, speedup bound skipped "
-                "(digest identity still enforced)\n",
-                cores);
-  }
-  return 0;
-}
-
 /// Machine-readable summary (BENCH_smr.json): committed-commands/sec for
 /// the serial and pipelined engines, checkpoint overhead, and a timed
 /// WAL recovery of a fresh replica from a leader's real on-disk log.
@@ -534,14 +298,6 @@ int emit_json(const std::string& path, std::uint32_t n,
   }
   std::filesystem::remove_all(wal_dir);
 
-  // Verification-pool sweep (wall-clock, real Ed25519): a smaller
-  // workload keeps the recording fleet affordable inside the JSON step.
-  const std::uint64_t vp_commands = std::min<std::uint64_t>(commands, 128);
-  RecordedTrace vp_trace;
-  const auto vp_rows = verify_sweep(n, vp_commands, &vp_trace);
-  bool vp_digest_ok = vp_trace.completed;
-  for (const auto& row : vp_rows) vp_digest_ok = vp_digest_ok && row.digest_ok;
-
   const double base_t = kcmd_per_vsec(base, commands);
   const double fast_t = kcmd_per_vsec(fast, commands);
   const double plain_t = kcmd_per_vsec(plain, commands);
@@ -574,14 +330,8 @@ int emit_json(const std::string& path, std::uint32_t n,
       "    \"stable_checkpoint_slot\": %llu,\n"
       "    \"recovery_wall_us\": %.0f,\n"
       "    \"digest_matches_precrash\": %s\n"
-      "  },\n"
-      "  \"verify_pool\": {\n"
-      "    \"suite\": \"ed25519\",\n"
-      "    \"n\": %u,\n"
-      "    \"commands\": %llu,\n"
-      "    \"host_cores\": %u,\n"
-      "    \"digests_identical\": %s,\n"
-      "    \"rows\": [\n",
+      "  }\n"
+      "}\n",
       n, static_cast<unsigned long long>(commands), base_t, fast_t,
       base_t > 0 ? fast_t / base_t : 0.0,
       static_cast<unsigned long long>(pipelined.checkpoint_interval),
@@ -589,23 +339,7 @@ int emit_json(const std::string& path, std::uint32_t n,
       rec_n, durable_tput, static_cast<unsigned long long>(wal_records),
       static_cast<unsigned long long>(recovered_slots),
       static_cast<unsigned long long>(stable_slot), recovery_us,
-      digest_match ? "true" : "false", n,
-      static_cast<unsigned long long>(vp_commands),
-      std::thread::hardware_concurrency(), vp_digest_ok ? "true" : "false");
-  for (std::size_t i = 0; i < vp_rows.size(); ++i) {
-    const auto& row = vp_rows[i];
-    std::fprintf(
-        out,
-        "      {\"threads\": %u, \"kcmd_per_sec\": %.2f, "
-        "\"kcmd_per_sec_per_core\": %.2f, \"p50_us\": %.0f, "
-        "\"p95_us\": %.0f, \"p99_us\": %.0f}%s\n",
-        row.threads, row.kcmd_per_sec, row.kcmd_per_sec_core, row.p50_us,
-        row.p95_us, row.p99_us, i + 1 < vp_rows.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "    ]\n"
-               "  }\n"
-               "}\n");
+      digest_match ? "true" : "false");
   std::fclose(out);
   std::printf(
       "emit-json: serial=%.2f pipelined=%.2f (%.1fx) ckpt-overhead=%.1f%% "
@@ -615,9 +349,10 @@ int emit_json(const std::string& path, std::uint32_t n,
       static_cast<unsigned long long>(recovered_slots), digest_match ? 1 : 0,
       path.c_str());
   if (!base.completed || !fast.completed || !plain.completed || !completed ||
-      !digest_match || recovered_slots == 0 || !vp_digest_ok) {
-    std::fprintf(stderr, "emit-json: BAD OUTCOME (incomplete run, recovery "
-                         "mismatch, or verify-pool digest divergence)\n");
+      !digest_match || recovered_slots == 0) {
+    std::fprintf(stderr,
+                 "emit-json: BAD OUTCOME (incomplete run or recovery "
+                 "mismatch)\n");
     return 2;
   }
   return 0;
@@ -652,7 +387,6 @@ int main(int argc, char** argv) {
   std::uint32_t n = 32;
   std::uint64_t commands = 256;
   double smoke_bound_x = 0.0;
-  double verify_smoke_x = 0.0;
   std::string emit_json_path;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
@@ -665,8 +399,6 @@ int main(int argc, char** argv) {
       commands = std::strtoull(arg.c_str() + 11, nullptr, 10);
     } else if (arg.rfind("--smoke-bound-x=", 0) == 0) {
       smoke_bound_x = std::strtod(arg.c_str() + 16, nullptr);
-    } else if (arg.rfind("--verify-smoke-x=", 0) == 0) {
-      verify_smoke_x = std::strtod(arg.c_str() + 17, nullptr);
     } else if (arg.rfind("--emit-json=", 0) == 0) {
       emit_json_path = arg.substr(12);
     } else {
@@ -674,14 +406,9 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke_bound_x > 0) return run_smoke(n, commands, smoke_bound_x);
-  if (verify_smoke_x > 0) {
-    return run_verify_smoke(n, std::min<std::uint64_t>(commands, 128),
-                            verify_smoke_x);
-  }
   if (!emit_json_path.empty()) return emit_json(emit_json_path, n, commands);
 
   print_table(n, commands);
-  print_verify_sweep(n, std::min<std::uint64_t>(commands, 128));
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());
   benchmark::RunSpecifiedBenchmarks();

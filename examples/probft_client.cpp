@@ -65,7 +65,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -74,6 +73,7 @@
 #include <vector>
 
 #include "common/codec.hpp"
+#include "common/flags.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "shard/placement.hpp"
@@ -115,16 +115,6 @@ std::uint64_t now_us() {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1'000;
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string key = argv[i];
@@ -134,19 +124,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
       std::size_t pos = 0;
       while (pos < value.size()) {
         const std::size_t comma = value.find(',', pos);
-        const std::string entry = value.substr(pos, comma - pos);
-        const std::size_t colon = entry.rfind(':');
-        if (colon == std::string::npos || colon == 0) return false;
-        opt.servers.emplace_back(
-            entry.substr(0, colon),
-            static_cast<std::uint16_t>(parse_u64(entry.substr(colon + 1))));
+        HostPort server = parse_host_port(value.substr(pos, comma - pos));
+        opt.servers.emplace_back(std::move(server.host), server.port);
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
     } else if (key == "--requests") {
-      opt.requests = parse_u64(value);
+      opt.requests = parse_uint(value);
     } else if (key == "--client-id") {
-      opt.client_id = parse_u64(value);
+      opt.client_id = parse_uint(value);
     } else if (key == "--mode") {
       if (value == "closed") {
         opt.open_loop = false;
@@ -156,23 +142,20 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (key == "--retry-ms") {
-      opt.retry_ms = parse_u64(value);
+      opt.retry_ms = parse_uint(value, kMaxFlagMs);
     } else if (key == "--timeout-ms") {
-      opt.timeout_ms = parse_u64(value);
+      opt.timeout_ms = parse_uint(value, kMaxFlagMs);
     } else if (key == "--force-retry") {
       opt.force_retry = value == "1" || value == "true";
     } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > probft::shard::kMaxShards) return false;
-      opt.shards = static_cast<std::uint32_t>(shards);
+      opt.shards =
+          parse_uint<std::uint32_t>(value, probft::shard::kMaxShards);
+      if (opt.shards < 1) return false;
     } else if (key == "--dtx") {
-      opt.dtx = parse_u64(value);
+      opt.dtx = parse_uint(value);
     } else if (key == "--read-ratio") {
-      std::size_t consumed = 0;
-      const double ratio = std::stod(value, &consumed);
-      if (consumed != value.size() || ratio < 0.0 || ratio >= 1.0) {
-        return false;
-      }
+      const double ratio = parse_finite(value);
+      if (ratio < 0.0 || ratio >= 1.0) return false;
       opt.read_ratio = ratio;
     } else if (key == "--consistency") {
       if (value == "linearizable") {

@@ -54,7 +54,6 @@
 // scripts/run_tcp_cluster.sh drives all modes: agreement smoke (default),
 // client and read paths (`client`, `reads`), crash-restart (`restart`)
 // and sharding (`shard`).
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -65,11 +64,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/verify_pool.hpp"
+#include "common/flags.hpp"
 #include "net/client.hpp"
 #include "net/tcp_transport.hpp"
 #include "shard/dtx.hpp"
-#include "shard/preverify.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
@@ -106,10 +104,6 @@ struct Options {
   /// multiplexed over this process's one transport with requests routed
   /// by payload key. 1 = the plain single-group log.
   std::uint32_t shards = 1;
-  // ---- multi-core replica (docs/ARCHITECTURE.md "Threading model") ----
-  /// Signature-verification worker threads feeding a shared verdict
-  /// cache; 0 = verify inline on the network thread (single-threaded).
-  std::uint32_t verify_threads = 0;
   /// Serve the linearizable read fast path (leader leases + quorum
   /// read-index, src/smr/reads.hpp) and answer kClientRead frames on the
   /// client port. Off by default: reads cost lease renewal broadcasts.
@@ -138,18 +132,7 @@ void usage() {
       "                   [--smr BOOL] [--client-port P] [--run-ms MS]\n"
       "                   [--expect-cmds N] [--window W] [--batch B]\n"
       "                   [--wal-dir DIR] [--checkpoint-interval SLOTS]\n"
-      "                   [--fsync BOOL] [--verify-threads N]\n"
-      "                   [--shards S] [--reads BOOL]\n");
-}
-
-std::uint64_t parse_u64(const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
+      "                   [--fsync BOOL] [--shards S] [--reads BOOL]\n");
 }
 
 bool parse_bool(const std::string& text) {
@@ -158,25 +141,13 @@ bool parse_bool(const std::string& text) {
   throw std::invalid_argument(text);
 }
 
-net::PeerAddress parse_host_port(const std::string& text) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0) {
-    throw std::invalid_argument("peer must be host:port: " + text);
-  }
-  const std::uint64_t port = parse_u64(text.substr(colon + 1));
-  if (port == 0 || port > 65535) {
-    throw std::invalid_argument("bad port in " + text);
-  }
-  return net::PeerAddress{text.substr(0, colon),
-                          static_cast<std::uint16_t>(port)};
-}
-
 std::vector<net::PeerAddress> parse_peers(const std::string& csv) {
   std::vector<net::PeerAddress> peers;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     const std::size_t comma = csv.find(',', pos);
-    peers.push_back(parse_host_port(csv.substr(pos, comma - pos)));
+    HostPort peer = parse_host_port(csv.substr(pos, comma - pos));
+    peers.push_back(net::PeerAddress{std::move(peer.host), peer.port});
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -189,59 +160,56 @@ bool parse_args(int argc, char** argv, Options& opt) {
     if (i + 1 >= argc) return false;
     const std::string value = argv[++i];
     if (key == "--id") {
-      opt.id = static_cast<ReplicaId>(parse_u64(value));
+      opt.id = parse_uint<ReplicaId>(value);
     } else if (key == "--peers") {
       opt.peers = parse_peers(value);
     } else if (key == "--protocol") {
       if (!sim::protocol_from_string(value, opt.protocol)) return false;
     } else if (key == "--f") {
-      opt.f = static_cast<std::uint32_t>(parse_u64(value));
+      opt.f = parse_uint<std::uint32_t>(value);
     } else if (key == "--o") {
-      opt.o = std::stod(value);
+      opt.o = parse_factor(value);
     } else if (key == "--l") {
-      opt.l = std::stod(value);
+      opt.l = parse_factor(value);
     } else if (key == "--seed") {
-      opt.seed = parse_u64(value);
+      opt.seed = parse_uint(value);
     } else if (key == "--suite") {
       if (value != "sim" && value != "ed25519") return false;
       opt.suite = value;
     } else if (key == "--value") {
       opt.value = to_bytes(value);
     } else if (key == "--deadline-ms") {
-      opt.deadline_ms = parse_u64(value);
+      opt.deadline_ms = parse_uint(value, kMaxFlagMs);
     } else if (key == "--linger-ms") {
-      opt.linger_ms = parse_u64(value);
+      opt.linger_ms = parse_uint(value, kMaxFlagMs);
     } else if (key == "--stats") {
       opt.stats = parse_bool(value);
     } else if (key == "--smr") {
       opt.smr = parse_bool(value);
     } else if (key == "--client-port") {
-      opt.client_port = static_cast<std::uint16_t>(parse_u64(value));
+      opt.client_port = parse_uint<std::uint16_t>(value);
       opt.smr = true;  // a client port only makes sense with the log
     } else if (key == "--run-ms") {
-      opt.run_ms = parse_u64(value);
+      opt.run_ms = parse_uint(value, kMaxFlagMs);
     } else if (key == "--expect-cmds") {
-      opt.expect_cmds = parse_u64(value);
+      opt.expect_cmds = parse_uint(value);
     } else if (key == "--window") {
-      opt.window = static_cast<std::uint32_t>(parse_u64(value));
+      opt.window = parse_uint<std::uint32_t>(value);
     } else if (key == "--batch") {
-      opt.batch = static_cast<std::uint32_t>(parse_u64(value));
+      opt.batch = parse_uint<std::uint32_t>(value);
     } else if (key == "--wal-dir") {
       opt.wal_dir = value;
       opt.smr = true;  // durability only applies to the log
     } else if (key == "--checkpoint-interval") {
-      opt.checkpoint_interval = parse_u64(value);
+      opt.checkpoint_interval = parse_uint(value);
     } else if (key == "--fsync") {
       opt.fsync = parse_bool(value);
-    } else if (key == "--verify-threads") {
-      opt.verify_threads = static_cast<std::uint32_t>(parse_u64(value));
     } else if (key == "--reads") {
       opt.reads = parse_bool(value);
       opt.smr = true;  // the read path answers against the replicated log
     } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > shard::kMaxShards) return false;
-      opt.shards = static_cast<std::uint32_t>(shards);
+      opt.shards = parse_uint<std::uint32_t>(value, shard::kMaxShards);
+      if (opt.shards < 1) return false;
       opt.smr = true;  // groups are replicated logs
     } else {
       return false;
@@ -265,59 +233,6 @@ void print_stats(const net::TransportStats& stats) {
                 static_cast<unsigned long long>(stats.bytes_for(tag)));
   }
   std::fflush(stdout);
-}
-
-/// The cluster facts a VerifyPool's workers need; sample_size is derived
-/// through ReplicaConfig so it cannot drift from what the replica computes.
-core::PreverifyContext make_preverify_context(const sim::NodeParams& params) {
-  core::ReplicaConfig rc;
-  rc.n = params.n;
-  rc.f = params.f;
-  rc.o = params.o;
-  rc.l = params.l;
-  core::PreverifyContext ctx;
-  ctx.n = params.n;
-  ctx.sample_size = rc.sample_size();
-  ctx.suite = params.suite;
-  ctx.public_keys = params.public_keys;
-  return ctx;
-}
-
-/// Registers `node` as this replica's inbound handler. With
-/// --verify-threads the expensive half of admission (decode +
-/// signature/VRF checks) runs on pool workers that warm `params.verdicts`;
-/// the drain callback re-injects messages on the loop thread in
-/// submission order, so the node sees the exact sequence it would have
-/// seen inline — just with its verdict cache already warm. The returned
-/// pool (null without workers) must be destroyed before `node`, so its
-/// workers join first. An empty `extract` is the core-protocol extractor.
-std::unique_ptr<core::VerifyPool> attach_inbound(
-    const Options& opt, net::TcpTransport& transport,
-    const sim::NodeParams& params, core::INode& node,
-    core::PreverifyFn extract = {}) {
-  if (opt.verify_threads == 0) {
-    transport.register_handler(
-        opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-          node.on_message(from, tag, m);
-        });
-    return nullptr;
-  }
-  auto pool = std::make_unique<core::VerifyPool>(
-      make_preverify_context(params), params.verdicts, opt.verify_threads,
-      std::move(extract));
-  core::VerifyPool* p = pool.get();
-  p->set_ready_callback([&transport, p, &node] {
-    transport.post([p, &node] {
-      p->drain([&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-        node.on_message(from, tag, m);
-      });
-    });
-  });
-  transport.register_handler(
-      opt.id, [p](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-        p->submit(from, tag, m);
-      });
-  return pool;
 }
 
 /// --smr: one process serves S consensus groups (shard::ShardedSmr; the
@@ -419,8 +334,10 @@ int run_smr_node(const Options& opt, net::TcpTransport& transport,
     route_reply(reply);
   });
 
-  const auto pool =
-      attach_inbound(opt, transport, params, *node, shard::preverify_tasks);
+  transport.register_handler(
+      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node->on_message(from, tag, m);
+      });
   transport.set_client_handler([&transport, &node, &dtx, &waiting,
                                 &last_reply](std::uint64_t conn,
                                              std::uint8_t tag,
@@ -592,11 +509,11 @@ int run_single_shot(const Options& opt, net::TcpTransport& transport,
     std::fflush(stdout);
   };
 
-  // --verify-threads works here too, with the core-protocol extractor
-  // (no SMR slot envelope). PBFT/HotStuff tags extract zero tasks, so the
-  // pool degenerates to an ordered passthrough for those protocols.
   const auto node = sim::make_honest_node(params, std::move(host));
-  const auto pool = attach_inbound(opt, transport, params, *node);
+  transport.register_handler(
+      opt.id, [&node](ReplicaId from, std::uint8_t tag, const Bytes& m) {
+        node->on_message(from, tag, m);
+      });
 
   node->start();
   transport.run_until([&decided]() { return decided; },
@@ -679,13 +596,6 @@ int main(int argc, char** argv) {
   // connection establishment (dial retries run at 100 ms), so the view-1
   // timer is generous compared to the simulator's 100 ms default.
   params.sync.base_timeout = 1'000'000;  // 1 s
-
-  // --verify-threads: pool workers pre-warm a shared thread-safe verdict
-  // cache that every consensus instance then consumes.
-  if (opt.verify_threads > 0) {
-    params.verdicts = std::make_shared<core::VerdictCache>(
-        /*thread_safe=*/true);
-  }
 
   return opt.smr ? run_smr_node(opt, *transport, std::move(params))
                  : run_single_shot(opt, *transport, params);

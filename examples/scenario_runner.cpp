@@ -23,16 +23,14 @@
 // runs are reported either way), and `--json FILE` writes the aggregate
 // stats report. Per-run RESULT lines print in deterministic (spec, seed)
 // order after the sweep finishes, so output is stable under any --jobs.
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "shard/placement.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -89,38 +87,10 @@ void usage() {
       "bounded. Matrix mode skips simulator-only faults there.\n");
 }
 
-/// Strict full-string numeric parses: trailing garbage ("16abc") and
-/// negative values must fail, not silently run the wrong experiment.
-std::uint64_t parse_u64(const std::string& text) {
-  // Leading whitespace would let stoull skip to a sign and wrap negatives.
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    throw std::invalid_argument(text);
-  }
-  std::size_t consumed = 0;
-  const std::uint64_t value = std::stoull(text, &consumed);
-  if (consumed != text.size()) throw std::invalid_argument(text);
-  return value;
-}
-
-/// The o/l factors must be positive, finite and sane — NaN or a negative
-/// factor would silently run a nonsense experiment.
-double parse_factor(const std::string& text) {
-  std::size_t consumed = 0;
-  const double value = std::stod(text, &consumed);
-  if (consumed != text.size() || !std::isfinite(value) || value <= 0.0 ||
-      value > 100.0) {
-    throw std::invalid_argument(text);
-  }
-  return value;
-}
-
 /// Non-negative seconds (fractions allowed); 0 disables the budget.
 double parse_seconds(const std::string& text) {
-  std::size_t consumed = 0;
-  const double value = std::stod(text, &consumed);
-  if (consumed != text.size() || !std::isfinite(value) || value < 0.0) {
-    throw std::invalid_argument(text);
-  }
+  const double value = parse_finite(text);
+  if (value < 0.0) throw std::invalid_argument(text);
   return value;
 }
 
@@ -138,7 +108,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 std::vector<std::uint64_t> parse_seeds(const std::string& csv) {
   std::vector<std::uint64_t> seeds;
-  for (const auto& item : split_csv(csv)) seeds.push_back(parse_u64(item));
+  for (const auto& item : split_csv(csv)) seeds.push_back(parse_uint(item));
   return seeds;
 }
 
@@ -190,13 +160,10 @@ bool parse_args(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (key == "--n") {
-      const std::uint64_t n = parse_u64(value);
-      if (n < 1 || n > 1'000'000) return false;
-      opt.spec.n = static_cast<std::uint32_t>(n);
+      opt.spec.n = parse_uint<std::uint32_t>(value, 1'000'000);
+      if (opt.spec.n < 1) return false;
     } else if (key == "--f") {
-      const std::uint64_t f = parse_u64(value);
-      if (f > 1'000'000) return false;
-      opt.spec.f = static_cast<std::uint32_t>(f);
+      opt.spec.f = parse_uint<std::uint32_t>(value, 1'000'000);
     } else if (key == "--o") {
       opt.spec.o = parse_factor(value);
     } else if (key == "--l") {
@@ -205,13 +172,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.spec.seeds = parse_seeds(value);
       if (opt.spec.seeds.empty()) return false;
     } else if (key == "--deadline-ms") {
-      const std::uint64_t ms = parse_u64(value);
-      if (ms > std::numeric_limits<std::uint64_t>::max() / 1000) return false;
-      opt.spec.deadline = ms * 1000;
+      opt.spec.deadline = parse_uint(value, kMaxFlagMs) * 1000;
     } else if (key == "--jobs") {
-      const std::uint64_t jobs = parse_u64(value);
-      if (jobs > 4096) return false;
-      opt.sweep.jobs = static_cast<unsigned>(jobs);
+      opt.sweep.jobs = parse_uint<unsigned>(value, 4096);
     } else if (key == "--budget-seconds") {
       opt.sweep.budget_seconds = parse_seconds(value);
     } else if (key == "--json") {
@@ -228,13 +191,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (key == "--workload") {
       if (!sim::workload_from_string(value, opt.spec.workload)) return false;
     } else if (key == "--smr-commands") {
-      const std::uint64_t commands = parse_u64(value);
-      if (commands < 1 || commands > 100'000) return false;
-      opt.spec.smr_commands = commands;
+      opt.spec.smr_commands = parse_uint(value, 100'000);
+      if (opt.spec.smr_commands < 1) return false;
     } else if (key == "--shards") {
-      const std::uint64_t shards = parse_u64(value);
-      if (shards < 1 || shards > shard::kMaxShards) return false;
-      opt.spec.shards = static_cast<std::uint32_t>(shards);
+      opt.spec.shards = parse_uint<std::uint32_t>(value, shard::kMaxShards);
+      if (opt.spec.shards < 1) return false;
     } else {
       return false;
     }

@@ -57,8 +57,8 @@
 # to the same committed/aborted counts with nothing in flight.
 #
 # NODE_EXTRA_FLAGS appends extra probft_node flags to every node in any
-# mode — e.g. NODE_EXTRA_FLAGS="--verify-threads 2" runs
-# the cluster multi-core (the TSan CI job does exactly that).
+# mode — e.g. NODE_EXTRA_FLAGS="--suite ed25519" runs the cluster with
+# real signatures.
 #
 # This is the CI smoke test for the TCP backend (.github/workflows/ci.yml
 # job `tcp-smoke`, nightly `smr-smoke` and `restart-smoke`; job

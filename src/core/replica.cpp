@@ -53,10 +53,8 @@ std::optional<Bytes> choose_value(const std::vector<NewLeaderMsg>& m_set) {
   return *best;
 }
 
-// Verdict-key construction and the cache itself moved to
-// core/verdict_cache.{hpp,cpp} so the verification worker pool
-// (core/verify_pool.hpp) builds byte-identical keys; these aliases keep
-// the call sites readable.
+// Verdict-key construction and the cache itself live in
+// core/verdict_cache.{hpp,cpp}; this alias keeps the call sites readable.
 using VC = VerdictCache;
 
 }  // namespace
@@ -88,9 +86,6 @@ Replica::Replica(ReplicaConfig config, sync::SyncConfig sync_config,
   if (!cfg_.valid) {
     cfg_.valid = [](const Bytes& v) { return !v.empty(); };
   }
-  cache_ = cfg_.verdicts ? cfg_.verdicts
-                         : std::make_shared<VerdictCache>(
-                               /*thread_safe=*/false);
   sync_config.n = cfg_.n;
   sync_config.f = cfg_.f;
   synchronizer_ = std::make_unique<sync::Synchronizer>(
@@ -431,11 +426,11 @@ void Replica::handle_wish(ReplicaId from, const Bytes& raw) {
 // ---------------- Predicates ----------------
 
 std::optional<bool> Replica::cache_lookup(const Bytes& key) const {
-  return cache_->lookup(key);
+  return cache_.lookup(key);
 }
 
 void Replica::cache_store(Bytes key, bool ok) const {
-  cache_->store(std::move(key), ok);
+  cache_.store(std::move(key), ok);
 }
 
 bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
@@ -444,9 +439,8 @@ bool Replica::propose_sender_sig_ok(const ProposeMsg& m) const {
     return cfg_.suite->verify(cfg_.public_keys[m.sender],
                               ByteSpan(msg.data(), msg.size()), m.sender_sig);
   }
-  // Cached under 'R' so the verify pool can pre-warm it; the signing bytes
-  // are digest-based, so rebuilding them here is cheap even for a Propose
-  // carrying a large justification.
+  // Cached under 'R'; the signing bytes are digest-based, so rebuilding
+  // them here is cheap even for a Propose carrying a large justification.
   Bytes key = VC::signed_key('R', ByteSpan(msg.data(), msg.size()),
                              m.sender_sig);
   if (const auto hit = cache_lookup(key)) return *hit;
@@ -533,7 +527,7 @@ void Replica::prefetch_new_leaders(
   // batch). Digest-keyed like the cache, so reuse its hash.
   std::unordered_set<Bytes, VC::DigestHash> queued;
   const auto uncached = [&](const Bytes& key) {
-    return !cache_->contains(key) && queued.insert(key).second;
+    return !cache_.contains(key) && queued.insert(key).second;
   };
   for (const NewLeaderMsg* nl : msgs) {
     if (nl->sender == 0 || nl->sender > cfg_.n) continue;

@@ -65,8 +65,8 @@ struct ReplicaConfig {
   /// leader_of(v + leader_offset, n). Sharded SMR gives each consensus
   /// group a distinct offset so S groups spread their view-1 leaders
   /// across the fleet instead of all landing on replica 1. Default 0 is
-  /// the paper's schedule. Every replica of one instance (and its verify
-  /// pool, via PreverifyContext) must agree on the offset.
+  /// the paper's schedule. Every replica of one instance must agree on
+  /// the offset.
   View leader_offset = 0;
   Bytes my_value;  // myValue(): this replica's own proposal
   /// Application-level valid() predicate; default accepts non-empty values.
@@ -83,14 +83,6 @@ struct ReplicaConfig {
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
   crypto::PublicKeyDir public_keys;  // 1-based; [0] unused; shared storage
-
-  /// Optional shared verdict cache. Null (the default, and what the
-  /// simulator always uses) gives the replica a private unsynchronized
-  /// cache — exactly the pre-sharing behavior. Hosts running a
-  /// core::VerifyPool pass the pool's thread-safe cache here so worker
-  /// threads pre-warm the verdicts this replica then hits; SMR fleets
-  /// additionally share one cache across all per-slot instances.
-  std::shared_ptr<VerdictCache> verdicts;
 
   [[nodiscard]] std::uint32_t q() const;           // probabilistic quorum
   [[nodiscard]] std::uint32_t sample_size() const; // s = ceil(o q), <= n
@@ -155,7 +147,7 @@ class Replica : public INode {
   }
   [[nodiscard]] bool verify_leader_sig(const SignedProposal& p) const;
   /// The Propose sender signature, memoized under 'R' when fast_verify is
-  /// on (lets the verify pool pre-warm it).
+  /// on.
   [[nodiscard]] bool propose_sender_sig_ok(const ProposeMsg& m) const;
   [[nodiscard]] bool verify_phase_msg(MsgTag tag, const PhaseMsg& m,
                                       ReplicaId addressee) const;
@@ -207,10 +199,9 @@ class Replica : public INode {
   // Content-addressed verification cache (the O(n²√n) justification wall:
   // one multicast Prepare appears in ~q overlapping certificates, so the
   // same signature/VRF proof used to be re-verified once per referencing
-  // NewLeader message). The cache class itself (keys, capacity, optional
-  // thread safety) lives in core/verdict_cache.hpp; this is either the
-  // injected shared instance (cfg_.verdicts) or a private one.
-  std::shared_ptr<VerdictCache> cache_;
+  // NewLeader message). The cache class itself (keys, capacity) lives in
+  // core/verdict_cache.hpp; each replica owns its own.
+  mutable VerdictCache cache_;
 };
 
 /// Wire helper: MsgTag as the network tag byte.

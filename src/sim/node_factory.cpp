@@ -35,7 +35,6 @@ std::unique_ptr<core::INode> make_honest_node(const NodeParams& params,
       rc.suite = params.suite;
       rc.secret_key = params.secret_key;
       rc.public_keys = params.public_keys;
-      rc.verdicts = params.verdicts;
       return std::make_unique<core::Replica>(std::move(rc), params.sync,
                                              std::move(host));
     }
@@ -81,7 +80,6 @@ smr::SmrConfig smr_config(const NodeParams& params) {
   cfg.suite = params.suite;
   cfg.secret_key = params.secret_key;
   cfg.public_keys = params.public_keys;
-  cfg.verdicts = params.verdicts;
   cfg.sync = params.sync;
   cfg.wal = params.wal;
   cfg.on_execute = params.on_execute;

@@ -39,12 +39,6 @@ struct NodeParams {
   const crypto::CryptoSuite* suite = nullptr;
   Bytes secret_key;
   crypto::PublicKeyDir public_keys;
-  /// Optional shared verdict cache (core::ReplicaConfig::verdicts /
-  /// smr::SmrConfig::verdicts): hosts running a core::VerifyPool pass the
-  /// pool's thread-safe cache so worker-warmed verdicts are consumed.
-  /// Null = private per-instance caches (simulator default). ProBFT only;
-  /// PBFT/HotStuff nodes ignore it.
-  std::shared_ptr<core::VerdictCache> verdicts;
   sync::SyncConfig sync;  // n/f filled in by the replica constructors
   /// Pipeline/batching shape for SMR nodes (make_smr_node); ignored by
   /// the single-shot protocols.
@@ -70,7 +64,7 @@ struct DerivedKeys {
 [[nodiscard]] std::unique_ptr<core::INode> make_honest_node(
     const NodeParams& params, core::ProtocolHost host);
 
-/// The smr::SmrConfig of an SMR node: keys, suite, sync, verdicts,
+/// The smr::SmrConfig of an SMR node: keys, suite, sync,
 /// pipeline shape, WAL and on_execute from `params` (`params.protocol`
 /// and `params.my_value` are ignored). Also the per-group template of a
 /// shard::ShardedSmr.

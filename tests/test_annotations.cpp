@@ -43,41 +43,6 @@ TEST(Annotations, MutexStillMutuallyExcludes) {
   EXPECT_EQ(counter, 40'000);
 }
 
-TEST(Annotations, CondVarWaitReleasesAndReacquires) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::thread signaller([&]() {
-    MutexLock lock(mu);
-    ready = true;
-    cv.notify_one();
-  });
-  {
-    MutexLock lock(mu);
-    while (!ready) cv.wait(mu);
-    EXPECT_TRUE(ready);
-  }
-  signaller.join();
-}
-
-TEST(Annotations, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex mu;
-  int value = 7;
-  {
-    SharedWriterLock w(mu);
-    value = 42;
-  }
-  std::vector<std::thread> readers;
-  readers.reserve(3);
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&]() {
-      SharedReaderLock r(mu);
-      EXPECT_EQ(value, 42);
-    });
-  }
-  for (auto& r : readers) r.join();
-}
-
 TEST(Annotations, ThreadRoleBindsAndReleases) {
   ThreadRole role;
   role.assert_held();  // unbound: any thread passes

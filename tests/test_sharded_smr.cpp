@@ -8,8 +8,7 @@
 // reconstruct dtx state from the per-shard WALs after a crash, and tell
 // dtx bookkeeping entries from client writes, (4) keep sibling shards
 // committing while shard 0's leader goes silent (the view change is per
-// group, not fleet-wide), and (5) preverify unwrapped S = 1 frames
-// exactly like the single-group extractor.
+// group, not fleet-wide).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -18,15 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "core/verify_pool.hpp"
 #include "net/network.hpp"
 #include "shard/dtx.hpp"
-#include "shard/preverify.hpp"
 #include "shard/sharded_smr.hpp"
 #include "sim/node_factory.hpp"
 #include "sim/scenario.hpp"
 #include "sim/smr_fleet.hpp"
-#include "smr/preverify.hpp"
 #include "smr/reads.hpp"
 #include "smr/smr_replica.hpp"
 #include "store/wal.hpp"
@@ -165,130 +161,28 @@ Bytes dtx_payload(const ShardMap& map, std::uint32_t shards,
 
 // Requests submitted at ONE node must land in the group owning their
 // payload bytes — on every node — and sibling groups' logs must agree
-// fleet-wide, whether frames are admitted inline or through a verify
-// pool. (The pool once checked every Prepare/Commit leader signature
-// against shard 0's leader schedule, caching false verdicts that stalled
-// every other shard of a node consuming them; every frame here is
-// honest, so the pool must never cache a false verdict.)
+// fleet-wide.
 TEST(ShardedSmr, DemuxRoutesEveryRequestToItsOwningGroup) {
   const std::uint32_t n = 4, shards = 4;
   const std::uint64_t commands = 24;
-  for (const bool verify_pool : {false, true}) {
-    SCOPED_TRACE(verify_pool ? "verify pool" : "inline");
-    ShardedFleet fleet(n, shards);
-    // Verify-pool admission as `probft_node --verify-threads` runs it: an
-    // inline pool in front of each node, running shard::preverify_tasks.
-    // (The nodes here keep private caches; the groups' use of a shared
-    // one is EveryGroupVerifiesThroughTheSharedVerdictCache's to check.)
-    std::vector<std::unique_ptr<core::VerifyPool>> pools(n + 1);
-    std::uint64_t false_verdicts = 0;
-    if (verify_pool) {
-      core::ReplicaConfig rc;
-      rc.n = n;
-      core::PreverifyContext ctx;
-      ctx.n = n;
-      ctx.sample_size = rc.sample_size();
-      ctx.suite = &fleet.suite();
-      ctx.public_keys = fleet.public_keys();
-      for (ReplicaId id = 1; id <= n; ++id) {
-        pools[id] = std::make_unique<core::VerifyPool>(
-            ctx, std::make_shared<core::VerdictCache>(), /*threads=*/0,
-            shard::preverify_tasks);
-        fleet.network().register_handler(
-            id, [&fleet, &pools, &false_verdicts, id](
-                    ReplicaId from, std::uint8_t tag, const Bytes& m) {
-              core::VerifyPool& pool = *pools[id];
-              pool.submit(from, tag, m);
-              for (const auto& task :
-                   shard::preverify_tasks(pool.context(), tag, m)) {
-                const auto verdict = pool.cache()->lookup(task.key);
-                if (verdict.has_value() && !*verdict) ++false_verdicts;
-              }
-              pool.drain([&fleet, id](ReplicaId src, std::uint8_t t,
-                                      const Bytes& b) {
-                fleet.node(id).on_message(src, t, b);
-              });
-            });
-      }
-    }
-    const Placement& placement = fleet.node(1).placement();
-    std::map<ShardId, std::uint64_t> owned;
-    for (std::uint64_t i = 1; i <= commands; ++i) {
-      Bytes payload = to_bytes("op-" + std::to_string(i));
-      ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
-      ASSERT_TRUE(
-          fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
-    }
-    fleet.start();
-    ASSERT_TRUE(fleet.run_until_executed(commands));
-    for (ShardId s = 0; s < shards; ++s) {
-      for (ReplicaId id = 1; id <= n; ++id) {
-        EXPECT_EQ(fleet.node(id).group(s).executed_commands(), owned[s])
-            << "replica " << id << " shard " << s;
-      }
-    }
-    EXPECT_TRUE(fleet.logs_agree());
-    EXPECT_EQ(false_verdicts, 0u);
-  }
-}
-
-// `probft_node --verify-threads` hands its pool's cache to the service as
-// SmrConfig::verdicts, so every group must verify through that one cache
-// or the pool's work is never consumed. A shadow of replica 4, a follower
-// in every group, built with such a cache is fed replica 4's inbound
-// frames: each shard's frames must leave verdicts in it.
-TEST(ShardedSmr, EveryGroupVerifiesThroughTheSharedVerdictCache) {
-  const std::uint32_t n = 4, shards = 3;  // replica 4 leads no group
   ShardedFleet fleet(n, shards);
-  const auto cache = std::make_shared<core::VerdictCache>();
-  sim::NodeParams params;
-  params.id = 4;
-  params.n = n;
-  params.suite = &fleet.suite();
-  params.secret_key = fleet.keys()[4].secret_key;
-  params.public_keys = fleet.public_keys();
-  params.verdicts = cache;
-  ShardedSmrConfig sc;
-  sc.base = sim::smr_config(params);
-  sc.map.shard_count = shards;
-  core::ProtocolHost host;  // listens only: sends nothing, fires no timer
-  host.send = [](ReplicaId, std::uint8_t, const Bytes&) {};
-  host.broadcast = [](std::uint8_t, const Bytes&) {};
-  host.set_timer = [](Duration, std::function<void()>) {};
-  ShardedSmr shadow(std::move(sc), host);
-
-  core::ReplicaConfig rc;
-  rc.n = n;
-  core::PreverifyContext ctx;
-  ctx.n = n;
-  ctx.sample_size = rc.sample_size();
-  ctx.suite = &fleet.suite();
-  ctx.public_keys = fleet.public_keys();
-  std::vector<std::vector<Bytes>> keys(shards);  // per shard, verdict keys
-  fleet.network().register_handler(
-      4, [&](ReplicaId from, std::uint8_t tag, const Bytes& m) {
-        if (tag == kShardTag) {
-          Reader r(ByteSpan(m.data(), m.size()));
-          const ShardId s = r.u32();
-          for (auto& task : shard::preverify_tasks(ctx, tag, m)) {
-            keys[s].push_back(std::move(task.key));
-          }
-        }
-        fleet.node(4).on_message(from, tag, m);
-        shadow.on_message(from, tag, m);
-      });
-  for (std::uint64_t i = 1; i <= 24; ++i) {
-    ASSERT_TRUE(fleet.node(1).submit_request(
-        9000 + i, 1, to_bytes("op-" + std::to_string(i))));
+  const Placement& placement = fleet.node(1).placement();
+  std::map<ShardId, std::uint64_t> owned;
+  for (std::uint64_t i = 1; i <= commands; ++i) {
+    Bytes payload = to_bytes("op-" + std::to_string(i));
+    ++owned[placement.shard_of(ByteSpan(payload.data(), payload.size()))];
+    ASSERT_TRUE(
+        fleet.node(1).submit_request(9000 + i, 1, std::move(payload)));
   }
-  shadow.start();
   fleet.start();
-  ASSERT_TRUE(fleet.run_until_executed(24));
+  ASSERT_TRUE(fleet.run_until_executed(commands));
   for (ShardId s = 0; s < shards; ++s) {
-    std::size_t cached = 0;
-    for (const Bytes& key : keys[s]) cached += cache->contains(key) ? 1 : 0;
-    EXPECT_GT(cached, 0u) << "shard " << s << " bypassed the shared cache";
+    for (ReplicaId id = 1; id <= n; ++id) {
+      EXPECT_EQ(fleet.node(id).group(s).executed_commands(), owned[s])
+          << "replica " << id << " shard " << s;
+    }
   }
+  EXPECT_TRUE(fleet.logs_agree());
 }
 
 // The acceptance-bar bit-identity property: each shard's log under the
@@ -553,49 +447,6 @@ TEST(ShardedSmr, SilentShardZeroLeaderDoesNotStallSiblingShards) {
       << outcome.decided << "/" << outcome.correct << "\n"
       << outcome.transcript;
   EXPECT_TRUE(outcome.agreement);
-}
-
-// One extractor for every S: an unwrapped kSmrTag frame (the S = 1 wire)
-// yields exactly the tasks the single-group extractor yields.
-TEST(ShardedSmrPreverify, PlainSmrFrameMatchesSingleGroupExtractor) {
-  ShardedFleet fleet(/*n=*/4, /*shards=*/1);
-  std::vector<Bytes> frames;
-  fleet.network().set_payload_filter(
-      [&frames](ReplicaId, ReplicaId, std::uint8_t tag, const Bytes& m) {
-        if (tag == smr::kSmrTag) frames.push_back(m);
-        return false;
-      });
-  ASSERT_TRUE(fleet.node(1).submit_request(9001, 1, to_bytes("op-1")));
-  fleet.start();
-  ASSERT_TRUE(fleet.run_until_executed(1));
-  ASSERT_FALSE(frames.empty());
-
-  core::ReplicaConfig rc;
-  rc.n = 4;
-  rc.f = 0;
-  core::PreverifyContext ctx;
-  ctx.n = 4;
-  ctx.sample_size = rc.sample_size();
-  ctx.suite = &fleet.suite();
-  ctx.public_keys = fleet.public_keys();
-
-  std::size_t tasks = 0;
-  for (const Bytes& frame : frames) {
-    const auto want = smr::preverify_tasks(ctx, smr::kSmrTag, frame);
-    const auto got = shard::preverify_tasks(ctx, smr::kSmrTag, frame);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].kind, want[i].kind);
-      EXPECT_EQ(got[i].key, want[i].key);
-      EXPECT_EQ(got[i].signer, want[i].signer);
-      EXPECT_EQ(got[i].message, want[i].message);
-      EXPECT_EQ(got[i].signature, want[i].signature);
-      EXPECT_EQ(got[i].tag, want[i].tag);
-      EXPECT_EQ(got[i].leader, want[i].leader);
-    }
-    tasks += got.size();
-  }
-  EXPECT_GT(tasks, 0u) << "no frame carried a signature to preverify";
 }
 
 }  // namespace
